@@ -374,6 +374,21 @@ def _cmd_realmap(args) -> int:
 
 # --- argument plumbing ----------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripart",
@@ -404,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", parents=[common],
                        help="iterate the map until dimension one")
     p.add_argument("partition")
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_int_at_least(0), default=100)
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("sets", parents=[common], help="inspect named sets")
@@ -419,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="delta-m | offset | cylinder1 | cylinder2 | gauss"
                         " | distinct | odd | euler | equicount A B")
     p.add_argument("args", nargs="*", default=[])
-    p.add_argument("--nmax", type=int, default=40)
+    p.add_argument("--nmax", type=_int_at_least(1), default=40)
     p.add_argument("--d", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
@@ -434,14 +449,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", parents=[common],
                        help="coefficients of a counting series")
     p.add_argument("series", help="set name, predicate text, P, divisor, odd-divisor")
-    p.add_argument("--N", type=int, default=DESK_CEILING)
+    p.add_argument("--N", type=_int_at_least(0), default=DESK_CEILING)
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("realmap", parents=[common],
                        help="iterate the slow map on an exact rational cone point")
     p.add_argument("action", choices=("orbit",))
     p.add_argument("point", help="comma-separated rationals, e.g. 7/2,3/2,1")
-    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--steps", type=_int_at_least(0), default=50)
     p.set_defaults(fn=_cmd_realmap)
 
     return parser

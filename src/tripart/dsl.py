@@ -14,14 +14,16 @@ total on valid partitions.
 
 Two evaluation routes exist on purpose: :meth:`SetPredicate.member`
 walks the tree, while calling the predicate uses a compiled closure.
-They are cross-checked by the test suite.
+They are cross-checked by the test suite.  The same code generator
+also fuses several predicates into one counting sweep
+(:func:`compile_columns`), which every counting path uses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .core import Partition
 
@@ -201,7 +203,10 @@ def evaluate(node: Node, L, K, m: int, i: int | None = None) -> bool:
     raise TypeError(f"unknown node {node!r}")
 
 
-# --- compilation to a closure ------------------------------------------
+# --- compilation to Python source ----------------------------------------
+
+_BOUND_NAMES = {"L": "Li", "K": "Ki"}
+
 
 def _emit_sym(sym: Sym) -> tuple[str | None, str]:
     if sym.kind == "dim":
@@ -211,11 +216,11 @@ def _emit_sym(sym: Sym) -> tuple[str | None, str]:
     seq = sym.kind
     idx = sym.index
     if idx == "bound":
-        return None, f"{seq}[i-1]"
+        return None, _BOUND_NAMES[seq]
     if idx == "last":
-        return None, f"{seq}[m-1]"
+        return None, f"{seq}[-1]"
     if idx == "secondlast":
-        return "m >= 2", f"{seq}[m-2]"
+        return "m >= 2", f"{seq}[-2]"
     if idx == 1:
         return None, f"{seq}[0]"
     return f"m >= {idx}", f"{seq}[{idx - 1}]"
@@ -234,42 +239,113 @@ def _emit_lin(expr: LinExpr) -> tuple[list[str], str]:
     return guards, " + ".join(pieces)
 
 
-def _emit(node: Node, dyn: dict) -> str:
-    if isinstance(node, Lit):
-        return "True" if node.value else "False"
-    if isinstance(node, Cmp):
-        lg, lv = _emit_lin(node.lhs)
-        rg, rv = _emit_lin(node.rhs)
-        op = "==" if node.op == "=" else node.op
-        clauses = sorted(set(lg + rg)) + [f"({lv}) {op} ({rv})"]
-        return "(" + " and ".join(clauses) + ")"
-    if isinstance(node, Parity):
-        g, v = _emit_sym(node.sym)
-        test = f"({v}) % 2 == {1 if node.odd else 0}"
-        return f"({g} and {test})" if g else f"({test})"
-    if isinstance(node, Not):
-        return f"(not {_emit(node.item, dyn)})"
-    if isinstance(node, And):
-        return "(" + " and ".join(_emit(item, dyn) for item in node.items) + ")"
-    if isinstance(node, Or):
-        return "(" + " or ".join(_emit(item, dyn) for item in node.items) + ")"
-    if isinstance(node, Quant):
-        fn = "all" if node.forall else "any"
-        return f"{fn}({_emit(node.body, dyn)} for i in range(1, m + 1))"
-    if isinstance(node, Dynamic):
-        name = f"_dyn{len(dyn)}"
-        dyn[name] = node.fn
-        return f"{name}(L, K, m)"
-    raise TypeError(f"unknown node {node!r}")
+def _uses(name: str, source: str) -> bool:
+    return re.search(rf"\b{name}\b", source) is not None
+
+
+class _Emitter:
+    """Python source for predicate trees; the one code generator.
+
+    Expressions read the current partition as ``L`` (parts), ``K``
+    (multiplicities) and ``m`` (its dimension, ``len(L)``).  Each
+    quantifier becomes a helper function that loops over the parts
+    and returns at the first index that decides it; dynamic nodes and
+    plain callables become names bound in the generated namespace.
+    """
+
+    def __init__(self):
+        self.namespace: dict = {}
+        self.helpers: list[str] = []
+
+    def bind(self, prefix: str, obj) -> str:
+        name = f"{prefix}{len(self.namespace)}"
+        self.namespace[name] = obj
+        return name
+
+    def expr(self, node: Node) -> str:
+        if isinstance(node, Lit):
+            return "True" if node.value else "False"
+        if isinstance(node, Cmp):
+            lg, lv = _emit_lin(node.lhs)
+            rg, rv = _emit_lin(node.rhs)
+            op = "==" if node.op == "=" else node.op
+            clauses = sorted(set(lg + rg)) + [f"({lv}) {op} ({rv})"]
+            return "(" + " and ".join(clauses) + ")"
+        if isinstance(node, Parity):
+            g, v = _emit_sym(node.sym)
+            test = f"({v}) % 2 == {1 if node.odd else 0}"
+            return f"({g} and {test})" if g else f"({test})"
+        if isinstance(node, Not):
+            return f"(not {self.expr(node.item)})"
+        if isinstance(node, And):
+            return "(" + " and ".join(self.expr(item) for item in node.items) + ")"
+        if isinstance(node, Or):
+            return "(" + " or ".join(self.expr(item) for item in node.items) + ")"
+        if isinstance(node, Quant):
+            return self._quant(node) + "(L, K, m)"
+        if isinstance(node, Dynamic):
+            return self.bind("_dyn", node.fn) + "(L, K, m)"
+        raise TypeError(f"unknown node {node!r}")
+
+    def _quant(self, node: Quant) -> str:
+        body = self.expr(node.body)
+        seqs = [seq for seq, name in _BOUND_NAMES.items() if _uses(name, body)]
+        if not seqs:
+            loop = "for i in range(1, m + 1):"
+        else:
+            target = "(" + ", ".join(_BOUND_NAMES[seq] for seq in seqs) + ")"
+            source = seqs[0] if len(seqs) == 1 else "zip(L, K)"
+            if _uses("i", body):
+                loop = f"for i, {target} in enumerate({source}, 1):"
+            else:
+                loop = f"for {target} in {source}:"
+        name = f"_q{len(self.helpers)}"
+        test, decided = (f"not {body}", "False") if node.forall else (body, "True")
+        self.helpers.append(
+            f"def {name}(L, K, m):\n"
+            f"    {loop}\n"
+            f"        if {test}:\n"
+            f"            return {decided}\n"
+            f"    return {node.forall}\n"
+        )
+        return name
+
+    def build(self, name: str, source: str):
+        exec("\n".join(self.helpers + [source]), self.namespace)
+        return self.namespace[name]
 
 
 def compile_node(root: Node) -> Callable[[tuple, tuple, int], bool]:
     """Compile the tree to a closure over (parts, mults, dim)."""
-    namespace: dict = {}
-    body = _emit(root, namespace)
-    src = f"def _pred(L, K, m):\n    return {body}\n"
-    exec(src, namespace)
-    return namespace["_pred"]
+    emitter = _Emitter()
+    body = emitter.expr(root)
+    return emitter.build("_pred", f"def _pred(L, K, m):\n    return {body}\n")
+
+
+def compile_columns(preds: Sequence) -> Callable[[Iterable], tuple[int, ...]]:
+    """Compile several membership tests into one counting sweep.
+
+    Each column is a :class:`SetPredicate` or a plain ``Partition ->
+    bool`` callable.  The result, ``_sweep(it)``, loops once over an
+    iterable of (parts, mults) pairs and returns how many of them each
+    column accepts, in column order.
+    """
+    emitter = _Emitter()
+    tests = []
+    for pred in preds:
+        if isinstance(pred, SetPredicate):
+            tests.append(emitter.expr(pred.root))
+        else:
+            tests.append(emitter.bind("_fn", pred) + "(_wrap(L, K))")
+    emitter.namespace["_wrap"] = Partition._wrap
+    counters = [f"c{j}" for j in range(len(tests))]
+    lines = ["def _sweep(it):"]
+    lines += [f"    {c} = 0" for c in counters]
+    lines += ["    for L, K in it:", "        m = len(L)"]
+    for c, test in zip(counters, tests):
+        lines += [f"        if {test}:", f"            {c} += 1"]
+    lines.append("    return (" + "".join(f"{c}, " for c in counters) + ")")
+    return emitter.build("_sweep", "\n".join(lines) + "\n")
 
 
 # --- formatting --------------------------------------------------------

@@ -4,6 +4,15 @@ Partitions stream in canonical order, descending lexicographic on the
 expanded part sequence, so (n)x[1] comes first and (1)x[n] last.  A
 pentagonal-number recurrence provides an independent count so the
 enumerator can be cross-checked.
+
+One flat generator produces every partition.  It keeps the current
+partition as two lists, distinct parts (decreasing) and their
+multiplicities, and steps to the next one in canonical order by the
+successor rule in multiplicity form (Zoghbi and Stojmenovic's ZS1):
+pop the trailing 1s, take one copy off the last part v > 1, then append
+v-1 with multiplicity q and the remainder r < v-1 if r > 0, where q and
+r divide the freed amount (the copy of v plus the popped 1s) by v-1.
+Each step costs O(1) amortised, plus the two tuples it yields.
 """
 
 from __future__ import annotations
@@ -62,26 +71,48 @@ def iter_raw(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """
     if not isinstance(n, int) or n < 1:
         raise NonPositiveSizeError(f"n must be a positive integer, got {n!r}")
-    return _iter_recursive(n, n)
+    return _successors(n)
 
 
-def _iter_recursive(remaining: int, max_part: int):
-    top = min(max_part, remaining)
-    for v in range(top, 0, -1):
-        for c in range(remaining // v, 0, -1):
-            rest = remaining - c * v
-            if rest == 0:
-                yield (v,), (c,)
-            elif v > 1:
-                for ps, ms in _iter_recursive(rest, v - 1):
-                    yield (v,) + ps, (c,) + ms
+def _successors(n: int):
+    parts = [n]
+    mults = [1]
+    pop_part = parts.pop
+    pop_mult = mults.pop
+    add_part = parts.append
+    add_mult = mults.append
+    while True:
+        yield tuple(parts), tuple(mults)
+        if parts[-1] == 1:
+            if len(parts) == 1:
+                return
+            pop_part()
+            freed = pop_mult()
+        else:
+            freed = 0
+        v = parts[-1]
+        freed += v
+        if mults[-1] == 1:
+            pop_part()
+            pop_mult()
+        else:
+            mults[-1] -= 1
+        v -= 1
+        q = freed // v
+        add_part(v)
+        add_mult(q)
+        r = freed - q * v
+        if r:
+            add_part(r)
+            add_mult(1)
 
 
 def iter_partitions(n: int, *, ceiling: int | None = None) -> Iterator[Partition]:
     """Stream every partition of n in canonical order."""
     _check_n(n, ceiling)
-    for parts, mults in _iter_recursive(n, n):
-        yield Partition._wrap(parts, mults)
+    wrap = Partition._wrap
+    for parts, mults in _successors(n):
+        yield wrap(parts, mults)
 
 
 def partitions_of(n: int, *, ceiling: int | None = None) -> PartitionList:
@@ -123,8 +154,9 @@ def filter_partitions(
     """Partitions of n satisfying ``pred``, canonical order preserved."""
     _check_n(n, ceiling)
     items = []
-    for parts, mults in _iter_recursive(n, n):
-        p = Partition._wrap(parts, mults)
+    wrap = Partition._wrap
+    for parts, mults in _successors(n):
+        p = wrap(parts, mults)
         if pred(p):
             items.append(p)
     return PartitionList(n, tuple(items))

@@ -10,10 +10,10 @@ immediately diagnosable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Partition, PartitionClass
-from .dsl import SetPredicate, parse_predicate
+from .dsl import SetPredicate, compile_columns, parse_predicate
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, gauss_set
 from . import trimap
@@ -86,35 +86,15 @@ class CountReport:
         }
 
 
-def _fast_fn(pred) -> Callable[[tuple, tuple, int], bool]:
-    if isinstance(pred, SetPredicate):
-        return pred.fn
-    return lambda L, K, m: pred(Partition._wrap(L, K))
-
-
 def count_set(pred, n: int) -> int:
     """Number of partitions of n in the set: p_S(n) by brute force."""
-    fn = _fast_fn(pred)
-    total = 0
-    for parts, mults in iter_raw(n):
-        if fn(parts, mults, len(parts)):
-            total += 1
-    return total
+    return compile_columns([pred])(iter_raw(n))[0]
 
 
 def count_columns(preds: Sequence, n_lo: int, n_hi: int) -> list[tuple[int, ...]]:
     """Counts of several sets in one enumeration pass per n."""
-    fns = [_fast_fn(p) for p in preds]
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        counts = [0] * len(fns)
-        for parts, mults in iter_raw(n):
-            m = len(parts)
-            for j, fn in enumerate(fns):
-                if fn(parts, mults, m):
-                    counts[j] += 1
-        rows.append(tuple(counts))
-    return rows
+    sweep = compile_columns(preds)
+    return [sweep(iter_raw(n)) for n in range(n_lo, n_hi + 1)]
 
 
 def odd_divisor_count(n: int) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .enumeration import iter_raw
-from .dsl import SetPredicate
+from .dsl import SetPredicate, compile_columns
 
 
 @dataclass(frozen=True)
@@ -128,20 +128,11 @@ def set_series(pred, N: int) -> SeriesCoeffs:
 
 def set_series_many(preds: Sequence, N: int) -> list[SeriesCoeffs]:
     """Enumeration-backed series for several sets in one pass."""
-    fns = []
-    for pred in preds:
-        if isinstance(pred, SetPredicate):
-            fns.append(pred.fn)
-        else:
-            raise TypeError("set_series needs SetPredicate instances")
-    columns = [[0] * (N + 1) for _ in fns]
-    for n in range(1, N + 1):
-        for parts, mults in iter_raw(n):
-            m = len(parts)
-            for j, fn in enumerate(fns):
-                if fn(parts, mults, m):
-                    columns[j][n] += 1
-    return [SeriesCoeffs(tuple(col)) for col in columns]
+    if not all(isinstance(pred, SetPredicate) for pred in preds):
+        raise TypeError("set_series needs SetPredicate instances")
+    sweep = compile_columns(preds)
+    rows = [(0,) * len(preds)] + [sweep(iter_raw(n)) for n in range(1, N + 1)]
+    return [SeriesCoeffs(col) for col in zip(*rows)]
 
 
 def _mul_binomial(poly: list[int], e: int, N: int) -> None:

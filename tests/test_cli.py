@@ -196,3 +196,22 @@ def test_verify_output_deterministic():
     first = run_cli("verify", "distinct", "--nmax", "10")
     second = run_cli("verify", "distinct", "--nmax", "10")
     assert first.stdout == second.stdout
+
+
+def test_out_of_range_numbers_are_usage_errors():
+    for args in (
+        ("verify", "euler", "--nmax", "0"),
+        ("verify", "equicount", "D", "O", "--nmax", "-3"),
+        ("series", "D", "--N", "-2"),
+        ("orbit", "(3,1)x[1,1]", "--steps", "-1"),
+        ("realmap", "orbit", "7/2,1", "--steps", "-1"),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stdout == "", args
+        assert "must be at least" in result.stderr, args
+    # the lower bounds themselves are accepted
+    assert run_cli("verify", "euler", "--nmax", "1").returncode == 0
+    assert run_cli("series", "P", "--N", "0").stdout == "P: coefficients 0..0\n   0  1\n"
+    result = run_cli("orbit", "(3,1)x[1,1]", "--steps", "0")
+    assert result.stdout == "start (3,1)x[1,1]\nterminal (3,1)x[1,1]\n"

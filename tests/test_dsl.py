@@ -1,19 +1,25 @@
 """Predicate language: parsing, semantics, compilation, round trips."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from tripart import Partition, builtin, parse_predicate
 from tripart.dsl import (
     DslSyntaxError,
     FALSE,
+    Not,
+    SetPredicate,
     TRUE,
     UnknownSymbolError,
+    compile_columns,
+    compile_node,
+    evaluate,
+    format_node,
     parse_predicate as parse,
 )
 from tripart.enumeration import iter_partitions
 
-from strategies import partitions
+from strategies import partitions, predicate_trees
 
 P = Partition.from_text
 
@@ -187,3 +193,24 @@ def test_compiled_matches_reference_random(p):
     ]
     for pred in battery:
         assert pred(p) == pred.member(p), pred.source()
+
+
+@given(predicate_trees(), st.lists(partitions(max_part=9, max_len=5), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_fuzz_compiled_matches_reference(tree, sample):
+    single = compile_node(tree)
+    counted = compile_columns([SetPredicate(tree), SetPredicate(Not(tree))])
+    expected = 0
+    for p in sample:
+        want = evaluate(tree, p.parts, p.mults, len(p.parts))
+        assert single(p.parts, p.mults, len(p.parts)) == want, (format_node(tree), str(p))
+        expected += want
+    rows = [(p.parts, p.mults) for p in sample]
+    assert counted(rows) == (expected, len(sample) - expected), format_node(tree)
+
+
+@given(predicate_trees())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_format_parse_round_trip(tree):
+    text = format_node(tree)
+    assert parse(text).root == tree, text

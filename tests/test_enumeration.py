@@ -14,7 +14,7 @@ from tripart import (
     partitions_of,
     parse_set_expression,
 )
-from tripart.enumeration import DeskCeilingError, NonPositiveSizeError
+from tripart.enumeration import DeskCeilingError, NonPositiveSizeError, iter_raw
 
 import oracles
 
@@ -64,6 +64,20 @@ def test_completeness_and_order_vs_oracle():
         ours = [p.expand() for p in partitions_of(n)]
         theirs = list(oracles.expanded_partitions(n))
         assert ours == theirs
+
+
+def test_raw_and_wrapped_streams_match_oracle_in_order():
+    for n in range(1, 31):
+        theirs = list(oracles.part_mult_partitions(n))
+        assert list(iter_raw(n)) == theirs
+        assert [(p.parts, p.mults) for p in iter_partitions(n)] == theirs
+
+
+def test_raw_stream_lengths_match_recurrence():
+    for n in range(1, 51):
+        assert sum(1 for _ in iter_raw(n)) == count_partitions(n)
+    with pytest.raises(NonPositiveSizeError):
+        iter_raw(0)
 
 
 def test_canonical_order_endpoints():

@@ -56,6 +56,21 @@ def test_count_columns_matches_count_set():
         assert row == tuple(count_set(p, n) for p in preds)
 
 
+def test_count_columns_mixed_columns_match_reference():
+    # every registry set, a map-driven cylinder and a plain callable
+    from tripart.sets import cylinder, names
+
+    preds = [builtin(name) for name in names()] + [cylinder((0, 1, 1))]
+    plain = lambda p: p.size % 3 == 0 or p.mults[-1] > p.mults[0]  # noqa: E731
+    rows = count_columns(preds + [plain], 1, 16)
+    for n, row in enumerate(rows, 1):
+        members = [Partition._wrap(parts, mults) for parts, mults in oracles.part_mult_partitions(n)]
+        expected = [sum(1 for p in members if pred.member(p)) for pred in preds]
+        expected.append(sum(1 for p in members if plain(p)))
+        assert row == tuple(expected), n
+        assert count_set(plain, n) == expected[-1]
+
+
 def test_equicount_passes():
     report = verify_equicount(builtin("Delta0"), builtin("M0"), 25, ("Delta0", "M0"))
     assert report.passed

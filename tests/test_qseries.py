@@ -3,7 +3,7 @@
 import pytest
 
 from tripart import builtin, count_partitions, parse_predicate
-from tripart.identities import count_set, odd_divisor_count
+from tripart.identities import count_columns, count_set, odd_divisor_count
 from tripart.qseries import (
     distinct_parts_product,
     divisor_series,
@@ -72,6 +72,19 @@ def test_set_series_examples():
     assert set_series(builtin("E0"), 11)[11] == 3
     assert set_series(builtin("O"), 11)[11] == 12
     assert set_series(builtin("E0"), 11)[0] == 0
+
+
+def test_set_series_many_matches_count_columns():
+    from tripart.sets import cylinder, names
+
+    preds = [builtin(name) for name in names()] + [cylinder((0, 1, 1))]
+    series = set_series_many(preds, 16)
+    rows = count_columns(preds, 1, 16)
+    for j, column in enumerate(series):
+        assert column.coeffs == (0,) + tuple(row[j] for row in rows)
+    assert [s.coeffs for s in set_series_many(preds[:2], 0)] == [(0,), (0,)]
+    with pytest.raises(TypeError):
+        set_series_many([lambda p: True], 5)
 
 
 def test_disjoint_cover_sums_to_p():
