@@ -3,7 +3,8 @@
 Output is deterministic: fixed column and row order, no timestamps.
 Exit codes: 0 success, 1 a requested verification failed, 2 usage
 error, 3 an operation was applied outside its contract (for example
-forcing the wrong branch of the map).
+forcing the wrong branch of the map), 4 an internal fault (a bug),
+reported with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .trimap import (
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 CONTRACT_VIOLATION = 3
+INTERNAL_ERROR = 4
 
 
 class _UsageError(Exception):
@@ -121,14 +123,6 @@ def _render_report_csv(report: CountReport) -> str:
     for offset, row in enumerate(report.rows):
         writer.writerow([report.n_lo + offset] + list(row))
     return buf.getvalue()
-
-
-def _render_report(report: CountReport, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_json(), indent=2) + "\n"
-    if fmt == "csv":
-        return _render_report_csv(report)
-    return _render_report_text(report)
 
 
 def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str) -> str:
@@ -252,44 +246,46 @@ def _cmd_sets(args) -> int:
     return 0
 
 
+def _verify_equicount(args) -> list[tuple[str, CountReport]]:
+    if len(args.args) != 2:
+        raise _UsageError("verify equicount needs exactly two set arguments")
+    a, b = (_resolve_predicate(text) for text in args.args)
+    return [("equicount", identities.verify_equicount(a, b, args.nmax, names=tuple(args.args)))]
+
+
+def _verify_delta_m(args) -> list[tuple[str, CountReport]]:
+    return [
+        (f"Delta{k} = M{k}", identities.verify_equicount(
+            sets.builtin(f"Delta{k}"), sets.builtin(f"M{k}"), args.nmax, (f"Delta{k}", f"M{k}")))
+        for k in (0, 1)
+    ]
+
+
+# theorem name -> function returning its labelled reports; each looks its
+# verifier up on the identities module when it runs
+_VERIFIERS = {
+    "equicount": _verify_equicount,
+    "delta-m": _verify_delta_m,
+    "offset": lambda a: [(f"offset d={a.d}", identities.verify_offset_theorem(a.d, a.nmax))],
+    "cylinder1": lambda a: [
+        ("cylinder one-step", identities.verify_cylinder_theorems(a.nmax, steps=1))],
+    "cylinder2": lambda a: [
+        ("cylinder two-step", identities.verify_cylinder_theorems(a.nmax, steps=2))],
+    "gauss": lambda a: [(f"gauss d={a.d}", identities.verify_gauss_theorem(a.d, a.nmax))],
+    "distinct": lambda a: [("distinct", identities.verify_distinct_theorem(a.nmax))],
+    "odd": lambda a: [("odd", identities.verify_odd_theorem(a.nmax))],
+    "euler": lambda a: [("euler", identities.verify_euler_chain(a.nmax))],
+}
+
+
 def _cmd_verify(args) -> int:
     _check_ceiling(args.nmax, args.desk_ceiling)
     name = args.theorem
-    reports: list[tuple[str, CountReport]] = []
     if name != "equicount" and args.args:
         raise _UsageError(f"verify {name} takes no positional set arguments")
-    if name == "equicount":
-        if len(args.args) != 2:
-            raise _UsageError("verify equicount needs exactly two set arguments")
-        a = _resolve_predicate(args.args[0])
-        b = _resolve_predicate(args.args[1])
-        reports.append(("equicount", identities.verify_equicount(
-            a, b, args.nmax, names=(args.args[0], args.args[1]))))
-    elif name == "delta-m":
-        reports.append(("Delta0 = M0", identities.verify_equicount(
-            sets.builtin("Delta0"), sets.builtin("M0"), args.nmax, ("Delta0", "M0"))))
-        reports.append(("Delta1 = M1", identities.verify_equicount(
-            sets.builtin("Delta1"), sets.builtin("M1"), args.nmax, ("Delta1", "M1"))))
-    elif name == "offset":
-        reports.append((f"offset d={args.d}",
-                        identities.verify_offset_theorem(args.d, args.nmax)))
-    elif name == "cylinder1":
-        reports.append(("cylinder one-step",
-                        identities.verify_cylinder_theorems(args.nmax, steps=1)))
-    elif name == "cylinder2":
-        reports.append(("cylinder two-step",
-                        identities.verify_cylinder_theorems(args.nmax, steps=2)))
-    elif name == "gauss":
-        reports.append((f"gauss d={args.d}",
-                        identities.verify_gauss_theorem(args.d, args.nmax)))
-    elif name == "distinct":
-        reports.append(("distinct", identities.verify_distinct_theorem(args.nmax)))
-    elif name == "odd":
-        reports.append(("odd", identities.verify_odd_theorem(args.nmax)))
-    elif name == "euler":
-        reports.append(("euler", identities.verify_euler_chain(args.nmax)))
-    else:
+    if name not in _VERIFIERS:
         raise _UsageError(f"unknown theorem {name!r}")
+    reports = _VERIFIERS[name](args)
     if args.format == "json":
         payload = [{"name": label, **report.to_json()} for label, report in reports]
         text = json.dumps(payload, indent=2) + "\n"
@@ -487,8 +483,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"contract violation: {exc}", file=sys.stderr)
         return CONTRACT_VIOLATION
     except Exception as exc:  # noqa: BLE001 - anything else is an internal fault
+        import traceback  # only a fault needs it; spare the start-up cost
+
         print(f"internal error: {exc}", file=sys.stderr)
-        return CONTRACT_VIOLATION
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

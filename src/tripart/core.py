@@ -52,6 +52,31 @@ class PartitionClass(enum.Enum):
         return self.value
 
 
+# Module names for the members: reading PartitionClass.X costs about as
+# much as the comparison itself, and every map step classifies.
+_DELTA0, _DELTA1, _DELTA_D, _DIM1 = (
+    PartitionClass.DELTA0, PartitionClass.DELTA1, PartitionClass.DELTA_D, PartitionClass.DIM1
+)
+
+
+def classify_parts(xs) -> PartitionClass:
+    """The trichotomy of a strictly decreasing sequence of numbers.
+
+    DIM1 for a single entry; otherwise the first entry is compared with
+    the second plus the last.  In dimension two the second entry is the
+    last, so the threshold is twice the second, as required.  Partition
+    parts, raw part tuples and rational cone points all classify here.
+    """
+    if len(xs) == 1:
+        return _DIM1
+    threshold = xs[1] + xs[-1]
+    if xs[0] < threshold:
+        return _DELTA0
+    if xs[0] > threshold:
+        return _DELTA1
+    return _DELTA_D
+
+
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 
 
@@ -163,21 +188,8 @@ class Partition:
         return tuple(out)
 
     def classify(self) -> PartitionClass:
-        """Place the partition in the triangle-map trichotomy.
-
-        DIM1 for one distinct part; otherwise the largest part is
-        compared with second + smallest part.  In dimension two the
-        second part is the smallest, so the threshold is twice the
-        second part, as required.
-        """
-        if len(self.parts) == 1:
-            return PartitionClass.DIM1
-        threshold = self.parts[1] + self.parts[-1]
-        if self.parts[0] < threshold:
-            return PartitionClass.DELTA0
-        if self.parts[0] > threshold:
-            return PartitionClass.DELTA1
-        return PartitionClass.DELTA_D
+        """Place the partition in the triangle-map trichotomy."""
+        return classify_parts(self.parts)
 
     def to_json(self) -> dict:
         return {"parts": list(self.parts), "mults": list(self.mults)}

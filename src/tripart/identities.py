@@ -1,10 +1,14 @@
 """Enumeration-backed verification of partition identities.
 
 Everything here counts by exhaustive enumeration; nothing trusts a
-closed form.  Reports carry per-n counts, a verdict per asserted
-equality and, on failure, the first counterexample n together with the
-symmetric difference of the two filtered sets so a falsified claim is
-immediately diagnosable.
+closed form.  Every theorem verifier is a declaration checked by one
+shared checker: set columns, counted together in a single enumeration
+pass per n; optional arithmetic columns, functions of n such as the
+odd-divisor count, appended after them; and linear relations
+``row[lhs] = sum(row[rhs])``.  Reports carry per-n counts, a verdict per
+relation and, on failure, the first counterexample n with both sides;
+a failed set-versus-set relation also names the partitions in only one
+of the two sets, so a falsified claim is immediately diagnosable.
 """
 
 from __future__ import annotations
@@ -102,38 +106,68 @@ def odd_divisor_count(n: int) -> int:
     return sum(1 for d in range(1, n + 1, 2) if n % d == 0)
 
 
-def _symmetric_difference(a, b, n):
-    left = filter_partitions(n, a)
-    right = filter_partitions(n, b)
-    right_set = set(right.items)
-    left_set = set(left.items)
-    only_a = tuple(p for p in left if p not in right_set)
-    only_b = tuple(p for p in right if p not in left_set)
-    return only_a, only_b
+def _dimension_one_count(n: int) -> int:
+    """1 + [3 divides n]: the families (n)x[1] and (n/3)x[3]."""
+    return 1 + (n % 3 == 0)
 
 
-def _set_equality_check(label, a, b, col_a, col_b, rows, n_lo) -> EqualityCheck:
-    for offset, row in enumerate(rows):
-        if row[col_a] != row[col_b]:
-            n = n_lo + offset
-            only_a, only_b = _symmetric_difference(a, b, n)
-            return EqualityCheck(
-                label,
-                passed=False,
-                first_failure=n,
-                lhs_count=row[col_a],
-                rhs_count=row[col_b],
-                only_lhs=only_a,
-                only_rhs=only_b,
-            )
-    return EqualityCheck(label, passed=True)
+def _one_sided(a, b, n: int):
+    """Members of a but not b, and of b but not a, at n, from one pass."""
+    only_a, only_b = [], []
+    for parts, mults in iter_raw(n):
+        p = Partition._wrap(parts, mults)
+        in_a, in_b = bool(a(p)), bool(b(p))
+        if in_a != in_b:
+            (only_a if in_a else only_b).append(p)
+    return tuple(only_a), tuple(only_b)
+
+
+def _equal(columns, i: int, j: int):
+    """The relation column i = column j, labelled by the column names."""
+    return (f"{columns[i]} = {columns[j]}", i, (j,))
+
+
+def _check(preds, columns, relations, n_max: int, arithmetic=(), notes=None) -> CountReport:
+    """Count the set columns, then test every relation for 1 <= n <= n_max.
+
+    ``preds`` are the set columns, counted together in one enumeration
+    pass per n; ``arithmetic`` holds functions of n whose values are
+    appended after them.  ``columns`` names the reported prefix of each
+    row: set columns past it are counted but hidden, and ``notes`` turns
+    the full rows into report notes.  A relation ``(label, lhs, rhs)``
+    asserts ``row[lhs] = sum(row[j] for j in rhs)``.  Its first failing n
+    is reported with both sides; when both sides are single set columns,
+    the partitions on only one side are named too.
+    """
+    rows = [
+        counted + tuple(f(n) for f in arithmetic)
+        for n, counted in enumerate(count_columns(preds, 1, n_max), 1)
+    ]
+    checks = []
+    for label, lhs, rhs in relations:
+        for n, row in enumerate(rows, 1):
+            total = sum(row[j] for j in rhs)
+            if row[lhs] != total:
+                only_lhs = only_rhs = ()
+                if len(rhs) == 1 and max(lhs, rhs[0]) < len(preds):
+                    only_lhs, only_rhs = _one_sided(preds[lhs], preds[rhs[0]], n)
+                checks.append(EqualityCheck(
+                    label, passed=False, first_failure=n, lhs_count=row[lhs],
+                    rhs_count=total, only_lhs=only_lhs, only_rhs=only_rhs,
+                ))
+                break
+        else:
+            checks.append(EqualityCheck(label, passed=True))
+    width = len(columns)
+    return CountReport(
+        1, n_max, tuple(columns), tuple(row[:width] for row in rows),
+        tuple(checks), tuple(notes(rows)) if notes else (),
+    )
 
 
 def verify_equicount(a, b, n_max: int, names: tuple[str, str] = ("A", "B")) -> CountReport:
     """Check p_A(n) = p_B(n) for 1 <= n <= n_max."""
-    rows = tuple(count_columns([a, b], 1, n_max))
-    check = _set_equality_check(f"{names[0]} = {names[1]}", a, b, 0, 1, rows, 1)
-    return CountReport(1, n_max, tuple(names), rows, (check,))
+    return _check([a, b], names, [_equal(names, 0, 1)], n_max)
 
 
 def _offset_image0(d: int) -> SetPredicate:
@@ -160,14 +194,7 @@ def verify_offset_theorem(d: int, n_max: int) -> CountReport:
         f"Delta0Off({d})", f"M0&gap({d})",
         f"Delta1Off({d})", f"M1&gap({d})",
     )
-    rows = tuple(count_columns(preds, 1, n_max))
-    checks = (
-        _set_equality_check(f"{columns[0]} = {columns[1]}",
-                            preds[0], preds[1], 0, 1, rows, 1),
-        _set_equality_check(f"{columns[2]} = {columns[3]}",
-                            preds[2], preds[3], 2, 3, rows, 1),
-    )
-    return CountReport(1, n_max, columns, rows, checks)
+    return _check(preds, columns, [_equal(columns, 0, 1), _equal(columns, 2, 3)], n_max)
 
 
 _CYLINDER_IMAGES = {
@@ -185,28 +212,16 @@ def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountRepor
     the default checks both, eight verdicts in all.
     """
     wanted = (1, 2) if steps is None else (steps,)
-    preds = []
     columns = []
-    plan = []  # (word, base_col, image_col, image_name)
+    pairs = []  # (base column, image column)
     for word in ("00", "01", "10", "11"):
-        base = builtin("Delta" + word)
-        base_col = len(preds)
-        preds.append(base)
+        base = len(columns)
         columns.append("Delta" + word)
         for step in wanted:
-            image_name = _CYLINDER_IMAGES[word][step - 1]
-            plan.append((word, base_col, len(preds), image_name))
-            preds.append(builtin(image_name))
-            columns.append(image_name)
-    rows = tuple(count_columns(preds, 1, n_max))
-    checks = tuple(
-        _set_equality_check(
-            f"Delta{word} = {image_name}",
-            preds[base_col], preds[image_col], base_col, image_col, rows, 1,
-        )
-        for word, base_col, image_col, image_name in plan
-    )
-    return CountReport(1, n_max, tuple(columns), rows, checks)
+            pairs.append((base, len(columns)))
+            columns.append(_CYLINDER_IMAGES[word][step - 1])
+    preds = [builtin(name) for name in columns]
+    return _check(preds, columns, [_equal(columns, i, j) for i, j in pairs], n_max)
 
 
 def gauss_step_image(d: int, p: int) -> SetPredicate:
@@ -237,34 +252,24 @@ def verify_gauss_theorem(d: int, n_max: int) -> CountReport:
     """
     if d < 1:
         raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
-    base = gauss_set(d)
-    preds = [base]
-    columns = [f"GaussG({d})"]
-    for p in range(0, d + 1):
-        preds.append(gauss_step_image(d, p))
-        columns.append(f"T1^{p}(GaussG({d}))")
+    preds = [gauss_set(d)] + [gauss_step_image(d, p) for p in range(0, d + 1)]
     preds.append(gauss_final_image(d))
+    columns = [f"GaussG({d})"] + [f"T1^{p}(GaussG({d}))" for p in range(0, d + 1)]
     columns.append(f"T0T1^{d}(GaussG({d}))")
     reported = len(preds)
-    # extra columns (not reported) feeding the general-p applicability notes
+    # hidden columns feeding the general-p applicability notes
     below = builtin("Delta0")
-    for p in range(0, d):
-        preds.append(gauss_step_image(d, p) & below)
-    full_rows = count_columns(preds, 1, n_max)
-    rows = tuple(row[:reported] for row in full_rows)
-    checks = tuple(
-        _set_equality_check(f"{columns[0]} = {columns[j]}",
-                            preds[0], preds[j], 0, j, rows, 1)
-        for j in range(1, reported)
-    )
-    notes = []
-    for p in range(0, d):
-        applicable = sum(row[reported + p] for row in full_rows)
-        notes.append(
+    preds += [gauss_step_image(d, p) & below for p in range(0, d)]
+
+    def notes(rows):
+        return [
             f"T0 after T1^{p} (p < d): image stays above the diagonal; "
-            f"{applicable} applicable members for n <= {n_max}"
-        )
-    return CountReport(1, n_max, tuple(columns), rows, checks, tuple(notes))
+            f"{sum(row[reported + p] for row in rows)} applicable members for n <= {n_max}"
+            for p in range(0, d)
+        ]
+
+    relations = [_equal(columns, 0, j) for j in range(1, reported)]
+    return _check(preds, columns, relations, n_max, notes=notes)
 
 
 def verify_distinct_theorem(n_max: int) -> CountReport:
@@ -275,77 +280,36 @@ def verify_distinct_theorem(n_max: int) -> CountReport:
     dimension-one families the map never reaches, so they are computed
     arithmetically rather than by enumeration.
     """
-    preds = [builtin("D"), builtin("E0"), builtin("E1"), builtin("ED")]
-    rows = []
-    checks_fail = None
-    for offset, counted in enumerate(count_columns(preds, 1, n_max)):
-        n = offset + 1
-        corr = 1 + (1 if n % 3 == 0 else 0)
-        rows.append(counted + (corr,))
-        rhs = counted[1] + counted[2] + counted[3] + corr
-        if checks_fail is None and counted[0] != rhs:
-            checks_fail = (n, counted[0], rhs)
-    label = "D = 1 + E0 + E1 + ED + [3|n]"
-    if checks_fail is None:
-        check = EqualityCheck(label, passed=True)
-    else:
-        n, lhs, rhs = checks_fail
-        check = EqualityCheck(label, passed=False, first_failure=n,
-                              lhs_count=lhs, rhs_count=rhs)
-    return CountReport(1, n_max, ("D", "E0", "E1", "ED", "corr"), tuple(rows), (check,))
+    names = ("D", "E0", "E1", "ED")
+    return _check(
+        [builtin(name) for name in names], names + ("corr",),
+        [("D = 1 + E0 + E1 + ED + [3|n]", 0, (4, 1, 2, 3))],
+        n_max, arithmetic=(_dimension_one_count,),
+    )
 
 
 def verify_odd_theorem(n_max: int) -> CountReport:
     """Odd-parts decomposition: |O| = (odd divisors of n) + |F0| + |F1|."""
-    preds = [builtin("O"), builtin("F0"), builtin("F1")]
-    rows = []
-    fail = None
-    for offset, counted in enumerate(count_columns(preds, 1, n_max)):
-        n = offset + 1
-        divisors = odd_divisor_count(n)
-        rows.append(counted + (divisors,))
-        rhs = divisors + counted[1] + counted[2]
-        if fail is None and counted[0] != rhs:
-            fail = (n, counted[0], rhs)
-    label = "O = oddDivisors + F0 + F1"
-    if fail is None:
-        check = EqualityCheck(label, passed=True)
-    else:
-        check = EqualityCheck(label, passed=False, first_failure=fail[0],
-                              lhs_count=fail[1], rhs_count=fail[2])
-    return CountReport(1, n_max, ("O", "F0", "F1", "oddDiv"), tuple(rows), (check,))
+    names = ("O", "F0", "F1")
+    return _check(
+        [builtin(name) for name in names], names + ("oddDiv",),
+        [("O = oddDivisors + F0 + F1", 0, (3, 1, 2))],
+        n_max, arithmetic=(odd_divisor_count,),
+    )
 
 
 def verify_euler_chain(n_max: int) -> CountReport:
     """The full three-way chain: distinct = odd = both decompositions."""
-    preds = [builtin("D"), builtin("O"), builtin("E0"), builtin("E1"),
-             builtin("ED"), builtin("F0"), builtin("F1")]
-    columns = ("D", "O", "E0", "E1", "ED", "F0", "F1", "corr", "oddDiv")
-    rows = []
-    fails: dict[str, tuple] = {}
-    for offset, counted in enumerate(count_columns(preds, 1, n_max)):
-        n = offset + 1
-        corr = 1 + (1 if n % 3 == 0 else 0)
-        divisors = odd_divisor_count(n)
-        rows.append(counted + (corr, divisors))
-        d_count, o_count, e0, e1, ed, f0, f1 = counted
-        if "D = O" not in fails and d_count != o_count:
-            fails["D = O"] = (n, d_count, o_count)
-        rhs_d = corr + e0 + e1 + ed
-        if "D = 1 + E0 + E1 + ED + [3|n]" not in fails and d_count != rhs_d:
-            fails["D = 1 + E0 + E1 + ED + [3|n]"] = (n, d_count, rhs_d)
-        rhs_o = divisors + f0 + f1
-        if "O = oddDivisors + F0 + F1" not in fails and o_count != rhs_o:
-            fails["O = oddDivisors + F0 + F1"] = (n, o_count, rhs_o)
-    checks = []
-    for label in ("D = O", "D = 1 + E0 + E1 + ED + [3|n]", "O = oddDivisors + F0 + F1"):
-        if label in fails:
-            n, lhs, rhs = fails[label]
-            checks.append(EqualityCheck(label, passed=False, first_failure=n,
-                                        lhs_count=lhs, rhs_count=rhs))
-        else:
-            checks.append(EqualityCheck(label, passed=True))
-    return CountReport(1, n_max, columns, tuple(rows), tuple(checks))
+    names = ("D", "O", "E0", "E1", "ED", "F0", "F1")
+    return _check(
+        [builtin(name) for name in names], names + ("corr", "oddDiv"),
+        [
+            _equal(names, 0, 1),
+            ("D = 1 + E0 + E1 + ED + [3|n]", 0, (7, 2, 3, 4)),
+            ("O = oddDivisors + F0 + F1", 1, (8, 5, 6)),
+        ],
+        n_max, arithmetic=(_dimension_one_count, odd_divisor_count),
+    )
 
 
 @dataclass(frozen=True)

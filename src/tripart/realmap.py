@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PartitionClass
+from .core import PartitionClass, classify_parts
 
 
 class ConePointError(ValueError):
@@ -62,12 +62,7 @@ class ConePoint:
 
 def classify_cone(x: ConePoint) -> PartitionClass:
     """Exact trichotomy of the first coordinate against second + last."""
-    threshold = x.coords[1] + x.coords[-1]
-    if x.coords[0] < threshold:
-        return PartitionClass.DELTA0
-    if x.coords[0] > threshold:
-        return PartitionClass.DELTA1
-    return PartitionClass.DELTA_D
+    return classify_parts(x.coords)
 
 
 def apply_slow(x: ConePoint) -> ConePoint:

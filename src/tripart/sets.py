@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import PartitionClass, classify_parts
 from .dsl import Dynamic, SetPredicate, _Parser, parse_predicate
 from .trimap import _t0_raw, _t1_raw
 
@@ -214,6 +215,11 @@ def registry_json() -> list[dict]:
     return out
 
 
+# the class each branch letter requires; the diagonal and dimension one
+# follow no letter
+_LETTER_CLASS = (PartitionClass.DELTA0, PartitionClass.DELTA1)
+
+
 def cylinder(word: Sequence[int]) -> SetPredicate:
     """The set of partitions following the branch word under iteration.
 
@@ -231,16 +237,7 @@ def cylinder(word: Sequence[int]) -> SetPredicate:
     def follows(L, K, m):
         parts, mults = L, K
         for letter in letters:
-            if len(parts) < 2:
-                return False
-            threshold = parts[1] + parts[-1]
-            if parts[0] < threshold:
-                cls = 0
-            elif parts[0] > threshold:
-                cls = 1
-            else:
-                return False
-            if cls != letter:
+            if classify_parts(parts) is not _LETTER_CLASS[letter]:
                 return False
             if letter == 0:
                 parts, mults = _t0_raw(parts, mults)

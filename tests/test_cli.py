@@ -3,8 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+from tripart import cli, identities
 
 CMD = [sys.executable, "-m", "tripart.cli"]
+GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "verify_golden.json"
 
 
 def run_cli(*args):
@@ -215,3 +219,34 @@ def test_out_of_range_numbers_are_usage_errors():
     assert run_cli("series", "P", "--N", "0").stdout == "P: coefficients 0..0\n   0  1\n"
     result = run_cli("orbit", "(3,1)x[1,1]", "--steps", "0")
     assert result.stdout == "start (3,1)x[1,1]\nterminal (3,1)x[1,1]\n"
+
+
+def test_verify_golden_output(capsys):
+    # every verifier in every format, byte for byte, exit codes included;
+    # the fixture holds argv, exit code and stdout of each case
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(cases) == 36
+    for case in cases:
+        code = cli.main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], ""), case["argv"]
+
+
+def test_internal_fault_exit_code_and_traceback(monkeypatch, capsys):
+    def broken(n_max):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(identities, "verify_euler_chain", broken)
+    assert cli.main(["verify", "euler", "--nmax", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: simulated fault\n")
+    assert "Traceback (most recent call last)" in err
+    assert err.rstrip().endswith("RuntimeError: simulated fault")
+
+
+def test_package_entry_point():
+    result = subprocess.run([sys.executable, "-m", "tripart", "verify", "euler", "--nmax", "3"],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("result: pass\n")

@@ -299,3 +299,91 @@ def test_odd_family_routes():
         # no diagonal branch exists here: an all-odd partition cannot
         # satisfy L1 = L2 + Llast
         assert count_set(o & builtin("DeltaD"), n) == 0
+
+
+# --- failure paths of the arithmetic relations ----------------------------
+# Each relation is broken on purpose by swapping a set or an arithmetic
+# column; the report must name the first failing n with both sides while
+# the untouched relations of the chain still pass.
+
+import tripart.identities as identities_module
+from tripart.dsl import parse_predicate
+
+DISTINCT = "D = 1 + E0 + E1 + ED + [3|n]"
+ODD = "O = oddDivisors + F0 + F1"
+
+
+def _checks(report):
+    return {check.label: check for check in report.checks}
+
+
+def test_distinct_relation_failure(monkeypatch):
+    real = identities_module.builtin
+    monkeypatch.setattr(identities_module, "builtin",
+                        lambda name: real("ED" if name == "E0" else name))
+    for report in (verify_distinct_theorem(20), verify_euler_chain(20)):
+        check = _checks(report)[DISTINCT]
+        assert not check.passed and not report.passed
+        # n = 5: D has (5), (4,1), (3,2); E0 has (2,1)x[2,1] but ED is empty
+        assert (check.first_failure, check.lhs_count, check.rhs_count) == (5, 3, 2)
+    others = _checks(verify_euler_chain(20))
+    assert others["D = O"].passed and others[ODD].passed
+
+
+def test_odd_relation_failure(monkeypatch):
+    # count every divisor instead of the odd ones
+    monkeypatch.setattr(identities_module, "odd_divisor_count",
+                        lambda n: sum(1 for d in range(1, n + 1) if n % d == 0))
+    for report in (verify_odd_theorem(20), verify_euler_chain(20)):
+        check = _checks(report)[ODD]
+        assert not check.passed and not report.passed
+        # n = 2: O holds only (1)x[2], but 2 has two divisors
+        assert (check.first_failure, check.lhs_count, check.rhs_count) == (2, 1, 2)
+    others = _checks(verify_euler_chain(20))
+    assert others["D = O"].passed and others[DISTINCT].passed
+
+
+def _drop_all_ones_from_o(monkeypatch):
+    # O loses (1)x[n] and the odd-divisor column loses the divisor 1 that
+    # counts it, so only D = O breaks
+    real_builtin = identities_module.builtin
+    real_divisors = identities_module.odd_divisor_count
+    not_all_ones = parse_predicate("dim >= 2 or L1 > 1")
+    monkeypatch.setattr(
+        identities_module, "builtin",
+        lambda name: real_builtin(name) & not_all_ones if name == "O" else real_builtin(name),
+    )
+    monkeypatch.setattr(identities_module, "odd_divisor_count", lambda n: real_divisors(n) - 1)
+
+
+def test_distinct_equals_odd_failure(monkeypatch):
+    _drop_all_ones_from_o(monkeypatch)
+    checks = _checks(verify_euler_chain(20))
+    check = checks["D = O"]
+    assert not check.passed
+    assert (check.first_failure, check.lhs_count, check.rhs_count) == (1, 1, 0)
+    assert checks[DISTINCT].passed and checks[ODD].passed
+
+
+def test_set_relation_failure_names_counterexamples(monkeypatch):
+    # D = O relates two set columns, so its failure lists both one-sided sets
+    _drop_all_ones_from_o(monkeypatch)
+    check = _checks(verify_euler_chain(20))["D = O"]
+    assert check.only_lhs == (P("(1)x[1]"),)
+    assert check.only_rhs == ()
+
+
+def test_equicount_counterexamples_are_the_symmetric_difference():
+    for text_a, text_b, first in (
+        ("D", "Delta0", 1),
+        ("Delta00", "T1Delta10", 7),
+        ("Delta0 and L1 > 4", "M0 and L1 > 4", 8),
+    ):
+        a, b = parse_set_expression(text_a), parse_set_expression(text_b)
+        check = verify_equicount(a, b, 12).checks[0]
+        assert check.first_failure == first
+        members = [Partition._wrap(parts, mults)
+                   for parts, mults in oracles.part_mult_partitions(first)]
+        assert check.only_lhs == tuple(p for p in members if a.member(p) and not b.member(p))
+        assert check.only_rhs == tuple(p for p in members if b.member(p) and not a.member(p))
+        assert check.only_lhs or check.only_rhs

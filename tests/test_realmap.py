@@ -120,3 +120,17 @@ def test_rational_coercion():
     assert cf_digits_via_map(F(7, 2), F(3, 2)) == oracles.canonical_cf(
         oracles.euclid_cf(3, 7)
     )
+
+
+def test_cone_and_partition_trichotomy_agree():
+    # the parts of a partition are a cone point; both must classify alike
+    from tripart import iter_partitions
+
+    seen = set()
+    for n in range(1, 21):
+        for p in iter_partitions(n):
+            if p.dimension >= 2:
+                cls = classify_cone(ConePoint(p.parts))
+                assert cls is p.classify(), p
+                seen.add(cls)
+    assert seen == {PartitionClass.DELTA0, PartitionClass.DELTA1, PartitionClass.DELTA_D}
