@@ -18,9 +18,11 @@ Each step costs O(1) amortised, plus the two tuples it yields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable, Iterator
 
 from .core import Partition
+from .dsl import SetPredicate
 
 #: Largest n enumerated without an explicit override.  p(60) is just
 #: under a million partitions; anything bigger deserves a conscious
@@ -151,12 +153,18 @@ def filter_partitions(
     *,
     ceiling: int | None = None,
 ) -> PartitionList:
-    """Partitions of n satisfying ``pred``, canonical order preserved."""
+    """Partitions of n satisfying ``pred``, canonical order preserved.
+
+    A :class:`~tripart.dsl.SetPredicate` is tested on the raw
+    (parts, mults) tuples through its compiled closure, and only the
+    members are wrapped as Partitions.  Any other callable is handed
+    every partition of n as a Partition.
+    """
     _check_n(n, ceiling)
-    items = []
     wrap = Partition._wrap
-    for parts, mults in _successors(n):
-        p = wrap(parts, mults)
-        if pred(p):
-            items.append(p)
+    if isinstance(pred, SetPredicate):
+        fn = pred.fn
+        items = [wrap(L, K) for L, K in _successors(n) if fn(L, K, len(L))]
+    else:
+        items = [p for p in starmap(wrap, _successors(n)) if pred(p)]
     return PartitionList(n, tuple(items))

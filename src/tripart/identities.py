@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Partition, PartitionClass
+from .core import _DELTA0, _DELTA1, _DELTA_D, Partition
 from .dsl import SetPredicate, compile_columns, parse_predicate
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, gauss_set
@@ -111,14 +111,27 @@ def _dimension_one_count(n: int) -> int:
     return 1 + (n % 3 == 0)
 
 
+def _raw_test(pred):
+    """``pred`` as a (parts, mults, dim) test: a SetPredicate's compiled closure."""
+    if isinstance(pred, SetPredicate):
+        return pred.fn
+    wrap = Partition._wrap
+    return lambda L, K, m: pred(wrap(L, K))
+
+
 def _one_sided(a, b, n: int):
-    """Members of a but not b, and of b but not a, at n, from one pass."""
+    """Members of a but not b, and of b but not a, at n, from one pass.
+
+    Set predicates are tested on the raw tuples; only the partitions
+    named in the result are wrapped.
+    """
     only_a, only_b = [], []
+    test_a, test_b = _raw_test(a), _raw_test(b)
     for parts, mults in iter_raw(n):
-        p = Partition._wrap(parts, mults)
-        in_a, in_b = bool(a(p)), bool(b(p))
+        m = len(parts)
+        in_a, in_b = bool(test_a(parts, mults, m)), bool(test_b(parts, mults, m))
         if in_a != in_b:
-            (only_a if in_a else only_b).append(p)
+            (only_a if in_a else only_b).append(Partition._wrap(parts, mults))
     return tuple(only_a), tuple(only_b)
 
 
@@ -339,11 +352,7 @@ class BijectionCertificate:
         }
 
 
-_ROUTE_CLASS = {
-    0: PartitionClass.DELTA0,
-    1: PartitionClass.DELTA1,
-    "D": PartitionClass.DELTA_D,
-}
+_ROUTE_CLASS = {0: _DELTA0, 1: _DELTA1, "D": _DELTA_D}
 
 _ROUTE_APPLY = {
     0: (trimap.Branch.T0, trimap.apply_t0),

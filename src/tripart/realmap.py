@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PartitionClass, classify_parts
+from .core import _DELTA0, _DELTA_D, PartitionClass, classify_parts
 
 
 class ConePointError(ValueError):
@@ -40,7 +40,7 @@ class ConePoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) < 2:
             raise ConePointError("a cone point needs at least two coordinates")
@@ -68,10 +68,10 @@ def classify_cone(x: ConePoint) -> PartitionClass:
 def apply_slow(x: ConePoint) -> ConePoint:
     """One step of the slow map; undefined on the diagonal."""
     cls = classify_cone(x)
-    if cls is PartitionClass.DELTA_D:
+    if cls is _DELTA_D:
         raise OnDiagonalError(f"({x}) lies on the diagonal")
     c = x.coords
-    if cls is PartitionClass.DELTA0:
+    if cls is _DELTA0:
         return ConePoint(c[1:] + (c[0] - c[1],))
     return ConePoint((c[0] - c[-1],) + c[1:])
 
@@ -93,10 +93,10 @@ def cf_digits_via_map(x1, x2, max_steps: int = 10_000) -> list[int]:
     point = ConePoint((x1, x2))
     for _ in range(max_steps):
         cls = classify_cone(point)
-        if cls is PartitionClass.DELTA_D:
+        if cls is _DELTA_D:
             digits.append(run + 2)
             return digits
-        if cls is PartitionClass.DELTA0:
+        if cls is _DELTA0:
             digits.append(run + 1)
             run = 0
         else:

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import PartitionClass, classify_parts
+from .core import _DELTA0, _DELTA1, classify_parts
 from .dsl import Dynamic, SetPredicate, _Parser, parse_predicate
 from .trimap import _t0_raw, _t1_raw
 
@@ -217,7 +217,7 @@ def registry_json() -> list[dict]:
 
 # the class each branch letter requires; the diagonal and dimension one
 # follow no letter
-_LETTER_CLASS = (PartitionClass.DELTA0, PartitionClass.DELTA1)
+_LETTER_CLASS = (_DELTA0, _DELTA1)
 
 
 def cylinder(word: Sequence[int]) -> SetPredicate:

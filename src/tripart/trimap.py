@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import Partition, PartitionClass
+from .core import _DELTA0, _DELTA1, _DELTA_D, _DIM1, Partition
 
 
 class WrongBranchError(ValueError):
@@ -98,7 +98,7 @@ def _td_raw(parts, mults):
 
 def apply_t0(p: Partition) -> Partition:
     """First branch; requires l1 < l2 + lm (2*l2 when dim 2)."""
-    if p.classify() is not PartitionClass.DELTA0:
+    if p.classify() is not _DELTA0:
         raise WrongBranchError(f"{p} is not below the diagonal")
     parts, mults = _t0_raw(p.parts, p.mults)
     return Partition(parts, mults)
@@ -106,7 +106,7 @@ def apply_t0(p: Partition) -> Partition:
 
 def apply_t1(p: Partition) -> Partition:
     """Second branch; requires l1 > l2 + lm (2*l2 when dim 2)."""
-    if p.classify() is not PartitionClass.DELTA1:
+    if p.classify() is not _DELTA1:
         raise WrongBranchError(f"{p} is not above the diagonal")
     parts, mults = _t1_raw(p.parts, p.mults)
     return Partition(parts, mults)
@@ -114,7 +114,7 @@ def apply_t1(p: Partition) -> Partition:
 
 def apply_td(p: Partition) -> Partition:
     """Diagonal branch; requires l1 = l2 + lm.  Drops dimension by one."""
-    if p.classify() is not PartitionClass.DELTA_D:
+    if p.classify() is not _DELTA_D:
         raise WrongBranchError(f"{p} is not on the diagonal")
     parts, mults = _td_raw(p.parts, p.mults)
     return Partition(parts, mults)
@@ -123,11 +123,11 @@ def apply_td(p: Partition) -> Partition:
 def apply_t(p: Partition) -> MapStep:
     """Apply the map, recording which branch fired."""
     cls = p.classify()
-    if cls is PartitionClass.DIM1:
+    if cls is _DIM1:
         raise DimensionOneError(f"{p} has dimension one")
-    if cls is PartitionClass.DELTA0:
+    if cls is _DELTA0:
         return MapStep(p, Branch.T0, apply_t0(p))
-    if cls is PartitionClass.DELTA1:
+    if cls is _DELTA1:
         return MapStep(p, Branch.T1, apply_t1(p))
     return MapStep(p, Branch.TD, apply_td(p))
 
@@ -182,9 +182,9 @@ def td_part_injectivity_check(a: Partition, b: Partition) -> bool:
     Property-test helper: equal images under the diagonal branch must
     force equal part vectors (multiplicities may differ).
     """
-    if a.classify() is not PartitionClass.DELTA_D:
+    if a.classify() is not _DELTA_D:
         raise WrongBranchError(f"{a} is not on the diagonal")
-    if b.classify() is not PartitionClass.DELTA_D:
+    if b.classify() is not _DELTA_D:
         raise WrongBranchError(f"{b} is not on the diagonal")
     if apply_td(a) != apply_td(b):
         return True

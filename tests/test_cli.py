@@ -8,7 +8,8 @@ from pathlib import Path
 from tripart import cli, identities
 
 CMD = [sys.executable, "-m", "tripart.cli"]
-GOLDEN = Path(__file__).resolve().parent.parent / "fixtures" / "verify_golden.json"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = FIXTURES / "verify_golden.json"
 
 
 def run_cli(*args):
@@ -226,6 +227,17 @@ def test_verify_golden_output(capsys):
     # the fixture holds argv, exit code and stdout of each case
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(cases) == 36
+    for case in cases:
+        code = cli.main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], ""), case["argv"]
+
+
+def test_certify_golden_output(capsys):
+    # a bijection in text and json, then an image outside the codomain,
+    # a codomain member not hit, a branch mismatch and a collision
+    cases = json.loads((FIXTURES / "certify_golden.json").read_text(encoding="utf-8"))
+    assert len(cases) == 6
     for case in cases:
         code = cli.main(case["argv"])
         out, err = capsys.readouterr()

@@ -108,6 +108,43 @@ def test_filter_examples():
     assert len(filter_partitions(2, builtin("Delta1"))) == 0
 
 
+def test_filter_matches_oracle_in_order():
+    # set predicates take the raw-tuple path, the plain callable the
+    # wrapping one; both must list exactly the reference members, in order
+    from tripart.sets import cylinder, names
+
+    plain = lambda p: p.size % 3 == 0 or p.mults[-1] > p.mults[0]  # noqa: E731
+    preds = [builtin(name) for name in names()] + [cylinder((0, 1, 1))]
+    for n in range(1, 17):
+        reference = [Partition(parts, mults) for parts, mults in oracles.part_mult_partitions(n)]
+        for pred in preds:
+            expected = [p for p in reference if pred.member(p)]
+            assert list(filter_partitions(n, pred)) == expected, (n, pred)
+        assert list(filter_partitions(n, plain)) == [p for p in reference if plain(p)], n
+
+
+def test_filter_plain_callable_receives_partitions():
+    seen = []
+
+    def record(p):
+        seen.append(p)
+        return p.dimension == 2
+
+    listing = filter_partitions(9, record)
+    assert all(type(p) is Partition for p in seen)
+    assert seen == list(partitions_of(9))
+    assert list(listing) == [p for p in seen if p.dimension == 2]
+
+
+def test_filter_desk_ceiling():
+    for pred in (builtin("Delta0"), lambda p: True):
+        with pytest.raises(DeskCeilingError):
+            filter_partitions(61, pred)
+        with pytest.raises(DeskCeilingError):
+            filter_partitions(6, pred, ceiling=5)
+    assert len(filter_partitions(6, builtin("D"), ceiling=6)) == 4
+
+
 def test_size_errors():
     with pytest.raises(NonPositiveSizeError):
         partitions_of(0)

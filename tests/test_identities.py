@@ -2,7 +2,8 @@
 
 import pytest
 
-from tripart import Partition, builtin, parse_set_expression
+from tripart import Branch, Partition, apply_t0, apply_t1, apply_td, builtin, parse_set_expression
+from tripart.enumeration import DeskCeilingError
 from tripart.identities import (
     BranchMismatchError,
     NonPositiveOffsetError,
@@ -11,6 +12,8 @@ from tripart.identities import (
     certify_bijection,
     count_columns,
     count_set,
+    gauss_final_image,
+    gauss_step_image,
     odd_divisor_count,
     parse_route,
     verify_cylinder_theorems,
@@ -21,6 +24,8 @@ from tripart.identities import (
     verify_odd_theorem,
     verify_offset_theorem,
 )
+
+from tripart.sets import gauss_set
 
 import oracles
 
@@ -268,6 +273,43 @@ def test_cylinder_image_sets_are_exact():
                               names=(domain, codomain))
 
 
+def _oracle_pairs(domain, route, n):
+    """Route pairs built from the oracle enumerator and reference membership."""
+    steps = {0: (Branch.T0, apply_t0), 1: (Branch.T1, apply_t1), "D": (Branch.TD, apply_td)}
+    pairs = []
+    for parts, mults in oracles.part_mult_partitions(n):
+        source = Partition(parts, mults)
+        if not domain.member(source):
+            continue
+        image, branches = source, []
+        for letter in route:
+            branch, apply = steps[letter]
+            branches.append(branch)
+            image = apply(image)
+        pairs.append((source, tuple(branches), image))
+    return pairs
+
+
+def test_certify_pairs_match_oracle():
+    routes = [(builtin(dom), route, builtin(cod)) for dom, route, cod in CYLINDER_ROUTES]
+    for d in (1, 2, 3):
+        routes += [(gauss_set(d), (1,) * p, gauss_step_image(d, p)) for p in range(d + 1)]
+        routes.append((gauss_set(d), (1,) * d + (0,), gauss_final_image(d)))
+    for domain, route, codomain in routes:
+        for n in range(1, 17):
+            expected = _oracle_pairs(domain, route, n)
+            cert = certify_bijection(domain, codomain, route, n)
+            assert list(cert.pairs) == expected, (domain, route, n)
+            reference = (Partition(parts, mults) for parts, mults in oracles.part_mult_partitions(n))
+            members = {q for q in reference if codomain.member(q)}
+            assert {image for _, _, image in expected} == members, (codomain, n)
+
+
+def test_certify_above_desk_ceiling_raises():
+    with pytest.raises(DeskCeilingError):
+        certify_bijection(builtin("Delta01"), builtin("T0Delta01"), (0,), 61)
+
+
 def test_offset_images_are_exact():
     from tripart.identities import _offset_image0, _offset_image1
     from tripart.sets import delta0_offset, delta1_offset
@@ -387,3 +429,18 @@ def test_equicount_counterexamples_are_the_symmetric_difference():
         assert check.only_lhs == tuple(p for p in members if a.member(p) and not b.member(p))
         assert check.only_rhs == tuple(p for p in members if b.member(p) and not a.member(p))
         assert check.only_lhs or check.only_rhs
+
+
+def test_equicount_counterexamples_with_a_plain_callable():
+    # a plain callable column goes through Partition wrapping, the set
+    # predicate through its compiled closure; both name the same sides
+    distinct_above_two = lambda p: all(k == 1 for k in p.mults) and p.parts[-1] > 2  # noqa: E731
+    a, b = distinct_above_two, parse_set_expression("D and Llast > 2")
+    assert verify_equicount(a, b, 12).passed
+    b = builtin("Delta0")
+    check = verify_equicount(a, b, 12).checks[0]
+    n = check.first_failure
+    members = [Partition._wrap(parts, mults) for parts, mults in oracles.part_mult_partitions(n)]
+    assert check.only_lhs == tuple(p for p in members if a(p) and not b.member(p))
+    assert check.only_rhs == tuple(p for p in members if b.member(p) and not a(p))
+    assert check.only_lhs or check.only_rhs
