@@ -63,10 +63,6 @@ def _resolve_predicate(text: str) -> SetPredicate:
     """A set name from the registry, or predicate text (which may itself
     reference registered names)."""
     try:
-        return sets.builtin(text)
-    except UnknownSetError:
-        pass
-    try:
         return sets.parse_set_expression(text)
     except DslError as exc:
         raise _UsageError(f"{text!r} is neither a known set nor valid predicate text: {exc}")
@@ -145,12 +141,11 @@ def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str) -> str:
 
 def _cmd_enumerate(args) -> int:
     _check_ceiling(args.n, args.desk_ceiling)
-    ceiling = args.desk_ceiling if args.desk_ceiling is not None else DESK_CEILING
     if args.filter:
         pred = _resolve_predicate(args.filter)
-        listing = filter_partitions(args.n, pred, ceiling=ceiling)
+        listing = filter_partitions(args.n, pred, ceiling=args.desk_ceiling)
     else:
-        listing = partitions_of(args.n, ceiling=ceiling)
+        listing = partitions_of(args.n, ceiling=args.desk_ceiling)
     if args.format == "json":
         payload = {
             "n": listing.n,
@@ -311,7 +306,8 @@ def _cmd_certify(args) -> int:
         raise _UsageError(str(exc))
     try:
         cert = identities.certify_bijection(
-            domain, codomain, route, args.n, names=(args.domain, args.codomain)
+            domain, codomain, route, args.n, names=(args.domain, args.codomain),
+            ceiling=args.desk_ceiling,
         )
     except (BranchMismatchError, NotInjectiveError, NotOntoError) as exc:
         _emit(f"certification failed: {exc}\n", args.out)

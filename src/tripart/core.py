@@ -103,8 +103,6 @@ class Partition:
             raise LengthMismatchError(
                 f"{len(parts)} parts but {len(mults)} multiplicities"
             )
-        if not parts:
-            raise EmptyPartitionError("a partition needs at least one part")
         for v in parts:
             if not isinstance(v, int) or v < 1:
                 raise NonPositiveEntryError(f"part {v!r} is not a positive integer")

@@ -322,13 +322,28 @@ def compile_node(root: Node) -> Callable[[tuple, tuple, int], bool]:
     return emitter.build("_pred", f"def _pred(L, K, m):\n    return {body}\n")
 
 
+def raw_test(pred) -> Callable[[tuple, tuple, int], bool]:
+    """Any membership test as a (parts, mults, dim) test on raw tuples.
+
+    A :class:`SetPredicate` gives its compiled closure.  Any other
+    ``Partition -> bool`` callable is handed each partition wrapped,
+    unvalidated, as a Partition; nothing is compiled for it.  This is
+    the one place that decides how a test reads a raw partition.
+    """
+    if isinstance(pred, SetPredicate):
+        return pred.fn
+    wrap = Partition._wrap
+    return lambda L, K, m: pred(wrap(L, K))
+
+
 def compile_columns(preds: Sequence) -> Callable[[Iterable], tuple[int, ...]]:
     """Compile several membership tests into one counting sweep.
 
-    Each column is a :class:`SetPredicate` or a plain ``Partition ->
-    bool`` callable.  The result, ``_sweep(it)``, loops once over an
-    iterable of (parts, mults) pairs and returns how many of them each
-    column accepts, in column order.
+    Each column is a :class:`SetPredicate`, whose tree is inlined into
+    the loop, or a plain ``Partition -> bool`` callable, which is called
+    through :func:`raw_test`.  The result, ``_sweep(it)``, loops once
+    over an iterable of (parts, mults) pairs and returns how many of
+    them each column accepts, in column order.
     """
     emitter = _Emitter()
     tests = []
@@ -336,8 +351,7 @@ def compile_columns(preds: Sequence) -> Callable[[Iterable], tuple[int, ...]]:
         if isinstance(pred, SetPredicate):
             tests.append(emitter.expr(pred.root))
         else:
-            tests.append(emitter.bind("_fn", pred) + "(_wrap(L, K))")
-    emitter.namespace["_wrap"] = Partition._wrap
+            tests.append(emitter.bind("_fn", raw_test(pred)) + "(L, K, m)")
     counters = [f"c{j}" for j in range(len(tests))]
     lines = ["def _sweep(it):"]
     lines += [f"    {c} = 0" for c in counters]

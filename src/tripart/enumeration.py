@@ -18,11 +18,10 @@ Each step costs O(1) amortised, plus the two tuples it yields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
 from typing import Callable, Iterator
 
 from .core import Partition
-from .dsl import SetPredicate
+from .dsl import raw_test
 
 #: Largest n enumerated without an explicit override.  p(60) is just
 #: under a million partitions; anything bigger deserves a conscious
@@ -55,9 +54,13 @@ class PartitionList:
         return self.items[i]
 
 
-def _check_n(n: int, ceiling: int | None) -> None:
+def _check_positive(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise NonPositiveSizeError(f"n must be a positive integer, got {n!r}")
+
+
+def _check_n(n: int, ceiling: int | None) -> None:
+    _check_positive(n)
     limit = DESK_CEILING if ceiling is None else ceiling
     if n > limit:
         raise DeskCeilingError(
@@ -71,8 +74,7 @@ def iter_raw(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     No validation, no Partition objects: this is the hot path that the
     verification engine runs millions of times.
     """
-    if not isinstance(n, int) or n < 1:
-        raise NonPositiveSizeError(f"n must be a positive integer, got {n!r}")
+    _check_positive(n)
     return _successors(n)
 
 
@@ -127,8 +129,7 @@ _pcache = [1]  # p(0) = 1
 
 def count_partitions(n: int) -> int:
     """p(n) by the pentagonal-number recurrence, independent of the enumerator."""
-    if not isinstance(n, int) or n < 1:
-        raise NonPositiveSizeError(f"n must be a positive integer, got {n!r}")
+    _check_positive(n)
     while len(_pcache) <= n:
         j = len(_pcache)
         total = 0
@@ -155,16 +156,13 @@ def filter_partitions(
 ) -> PartitionList:
     """Partitions of n satisfying ``pred``, canonical order preserved.
 
-    A :class:`~tripart.dsl.SetPredicate` is tested on the raw
-    (parts, mults) tuples through its compiled closure, and only the
-    members are wrapped as Partitions.  Any other callable is handed
-    every partition of n as a Partition.
+    ``pred`` is tested on the raw (parts, mults) tuples through
+    :func:`tripart.dsl.raw_test`, and only the members are kept as
+    Partitions.  ``ceiling`` overrides :data:`DESK_CEILING`, the
+    largest n enumerated by default.
     """
     _check_n(n, ceiling)
+    test = raw_test(pred)
     wrap = Partition._wrap
-    if isinstance(pred, SetPredicate):
-        fn = pred.fn
-        items = [wrap(L, K) for L, K in _successors(n) if fn(L, K, len(L))]
-    else:
-        items = [p for p in starmap(wrap, _successors(n)) if pred(p)]
+    items = [wrap(L, K) for L, K in _successors(n) if test(L, K, len(L))]
     return PartitionList(n, tuple(items))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import _DELTA0, _DELTA1, _DELTA_D, Partition
-from .dsl import SetPredicate, compile_columns, parse_predicate
+from .dsl import SetPredicate, compile_columns, parse_predicate, raw_test
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, gauss_set
 from . import trimap
@@ -111,14 +111,6 @@ def _dimension_one_count(n: int) -> int:
     return 1 + (n % 3 == 0)
 
 
-def _raw_test(pred):
-    """``pred`` as a (parts, mults, dim) test: a SetPredicate's compiled closure."""
-    if isinstance(pred, SetPredicate):
-        return pred.fn
-    wrap = Partition._wrap
-    return lambda L, K, m: pred(wrap(L, K))
-
-
 def _one_sided(a, b, n: int):
     """Members of a but not b, and of b but not a, at n, from one pass.
 
@@ -126,7 +118,7 @@ def _one_sided(a, b, n: int):
     named in the result are wrapped.
     """
     only_a, only_b = [], []
-    test_a, test_b = _raw_test(a), _raw_test(b)
+    test_a, test_b = raw_test(a), raw_test(b)
     for parts, mults in iter_raw(n):
         m = len(parts)
         in_a, in_b = bool(test_a(parts, mults, m)), bool(test_b(parts, mults, m))
@@ -352,12 +344,14 @@ class BijectionCertificate:
         }
 
 
-_ROUTE_CLASS = {0: _DELTA0, 1: _DELTA1, "D": _DELTA_D}
-
-_ROUTE_APPLY = {
-    0: (trimap.Branch.T0, trimap.apply_t0),
-    1: (trimap.Branch.T1, trimap.apply_t1),
-    "D": (trimap.Branch.TD, trimap.apply_td),
+# What each route letter requires and does: the class its partition must
+# be in, the branch it records and the map branch it applies.  Each
+# branch refuses a partition outside its class, so certification
+# classifies once per step, inside the branch.
+_ROUTE = {
+    0: (_DELTA0, trimap.Branch.T0, trimap.apply_t0),
+    1: (_DELTA1, trimap.Branch.T1, trimap.apply_t1),
+    "D": (_DELTA_D, trimap.Branch.TD, trimap.apply_td),
 }
 
 
@@ -384,44 +378,44 @@ def certify_bijection(
     route: Sequence,
     n: int,
     names: tuple[str, str] = ("domain", "codomain"),
+    *,
+    ceiling: int | None = None,
 ) -> BijectionCertificate:
     """Apply the route to every domain member and verify a bijection.
 
     Fails loudly: a route letter disagreeing with a classification, a
     collision, or an image set differing from the codomain each raise,
-    naming the offending partition.
+    naming the offending partition.  ``ceiling`` is passed to
+    :func:`~tripart.enumeration.filter_partitions` for both sets.
     """
     route = tuple(route)
-    sources = filter_partitions(n, domain)
-    target = filter_partitions(n, codomain)
+    sources = filter_partitions(n, domain, ceiling=ceiling)
+    target = filter_partitions(n, codomain, ceiling=ceiling)
+    steps = [_ROUTE[letter] for letter in route]
+    branches = tuple(branch for _, branch, _ in steps)
     pairs = []
     seen: dict[Partition, Partition] = {}
     for p in sources:
         current = p
-        branches = []
-        for letter in route:
-            expected = _ROUTE_CLASS[letter]
-            actual = current.classify()
-            if actual is not expected:
+        for expected, _, apply in steps:
+            try:
+                current = apply(current)
+            except trimap.WrongBranchError:
                 raise BranchMismatchError(
-                    f"{current} (reached from {p}) is {actual}, "
+                    f"{current} (reached from {p}) is {current.classify()}, "
                     f"but the route letter asks for {expected}"
-                )
-            branch, fn = _ROUTE_APPLY[letter]
-            branches.append(branch)
-            current = fn(current)
+                ) from None
         if current in seen:
             raise NotInjectiveError(
                 f"{p} and {seen[current]} both map to {current}"
             )
         seen[current] = p
-        pairs.append((p, tuple(branches), current))
+        pairs.append((p, branches, current))
     target_set = set(target.items)
     for _, _, img in pairs:
         if img not in target_set:
             raise NotOntoError(f"image {img} lies outside {names[1]} at n={n}")
-    image_set = set(seen)
     for q in target:
-        if q not in image_set:
+        if q not in seen:
             raise NotOntoError(f"{names[1]} member {q} is not hit at n={n}")
     return BijectionCertificate(n, names[0], names[1], route, tuple(pairs))

@@ -215,11 +215,6 @@ def registry_json() -> list[dict]:
     return out
 
 
-# the class each branch letter requires; the diagonal and dimension one
-# follow no letter
-_LETTER_CLASS = (_DELTA0, _DELTA1)
-
-
 def cylinder(word: Sequence[int]) -> SetPredicate:
     """The set of partitions following the branch word under iteration.
 
@@ -233,16 +228,16 @@ def cylinder(word: Sequence[int]) -> SetPredicate:
     for letter in letters:
         if letter not in (0, 1):
             raise ValueError(f"cylinder letters must be 0 or 1, got {letter!r}")
+    # per letter, the class it requires and the raw branch step it takes;
+    # the diagonal and dimension one follow no letter
+    steps = tuple(((_DELTA0, _t0_raw), (_DELTA1, _t1_raw))[letter] for letter in letters)
 
     def follows(L, K, m):
         parts, mults = L, K
-        for letter in letters:
-            if classify_parts(parts) is not _LETTER_CLASS[letter]:
+        for cls, step in steps:
+            if classify_parts(parts) is not cls:
                 return False
-            if letter == 0:
-                parts, mults = _t0_raw(parts, mults)
-            else:
-                parts, mults = _t1_raw(parts, mults)
+            parts, mults = step(parts, mults)
         return True
 
     label = "cylinder({})".format("".join(str(b) for b in letters))

@@ -58,6 +58,12 @@ def test_enumerate_ceiling():
     assert result.returncode == 0
 
 
+def test_certify_honours_desk_ceiling():
+    result = run_cli("certify", "Delta01", "T0Delta01", "0", "61", "--desk-ceiling", "61")
+    assert result.returncode == 0
+    assert result.stdout.splitlines()[-1].startswith("pairs: ")
+
+
 def test_map_auto():
     result = run_cli("map", "(6,3)x[1,1]")
     assert result.returncode == 0

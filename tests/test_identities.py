@@ -222,6 +222,17 @@ def test_certify_branch_mismatch():
         certify_bijection(builtin("Delta1"), builtin("M0"), (0,), 11)
 
 
+def test_certify_branch_mismatch_mid_route():
+    # the second letter fails, so the message names the partition reached
+    # after one step as well as the domain member it came from
+    with pytest.raises(BranchMismatchError) as info:
+        certify_bijection(builtin("Delta0"), builtin("T0T0Delta00"), (0, 0), 11)
+    assert str(info.value) == (
+        "(5,1)x[2,1] (reached from (6,5)x[1,1]) is Delta1, "
+        "but the route letter asks for Delta0"
+    )
+
+
 def test_certify_not_injective():
     # two diagonal partitions of 9 share parts (3,2,1) and an image
     from tripart.dsl import TRUE
