@@ -109,18 +109,7 @@ class Quant:
     body: "Node"
 
 
-@dataclass(frozen=True)
-class Dynamic:
-    """A membership test given procedurally, e.g. by iterating a map.
-
-    Not expressible in the grammar; formats as its label.
-    """
-
-    label: str
-    fn: Callable[[tuple, tuple, int], bool]
-
-
-Node = Lit | Cmp | Parity | Not | And | Or | Quant | Dynamic
+Node = Lit | Cmp | Parity | Not | And | Or | Quant
 
 
 # --- reference evaluation ---------------------------------------------
@@ -198,8 +187,6 @@ def evaluate(node: Node, L, K, m: int, i: int | None = None) -> bool:
     if isinstance(node, Quant):
         gen = (evaluate(node.body, L, K, m, j) for j in range(1, m + 1))
         return all(gen) if node.forall else any(gen)
-    if isinstance(node, Dynamic):
-        return node.fn(L, K, m)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -249,16 +236,16 @@ class _Emitter:
     Expressions read the current partition as ``L`` (parts), ``K``
     (multiplicities) and ``m`` (its dimension, ``len(L)``).  Each
     quantifier becomes a helper function that loops over the parts
-    and returns at the first index that decides it; dynamic nodes and
-    plain callables become names bound in the generated namespace.
+    and returns at the first index that decides it; only plain callables
+    become names bound in the generated namespace.
     """
 
     def __init__(self):
         self.namespace: dict = {}
         self.helpers: list[str] = []
 
-    def bind(self, prefix: str, obj) -> str:
-        name = f"{prefix}{len(self.namespace)}"
+    def bind(self, obj) -> str:
+        name = f"_fn{len(self.namespace)}"
         self.namespace[name] = obj
         return name
 
@@ -283,8 +270,6 @@ class _Emitter:
             return "(" + " or ".join(self.expr(item) for item in node.items) + ")"
         if isinstance(node, Quant):
             return self._quant(node) + "(L, K, m)"
-        if isinstance(node, Dynamic):
-            return self.bind("_dyn", node.fn) + "(L, K, m)"
         raise TypeError(f"unknown node {node!r}")
 
     def _quant(self, node: Quant) -> str:
@@ -351,7 +336,7 @@ def compile_columns(preds: Sequence) -> Callable[[Iterable], tuple[int, ...]]:
         if isinstance(pred, SetPredicate):
             tests.append(emitter.expr(pred.root))
         else:
-            tests.append(emitter.bind("_fn", raw_test(pred)) + "(L, K, m)")
+            tests.append(emitter.bind(raw_test(pred)) + "(L, K, m)")
     counters = [f"c{j}" for j in range(len(tests))]
     lines = ["def _sweep(it):"]
     lines += [f"    {c} = 0" for c in counters]
@@ -394,7 +379,7 @@ def _format_lin(expr: LinExpr) -> str:
 
 
 def format_node(node: Node, level: int = 0) -> str:
-    """Canonical text; parse(format(x)) reproduces x for grammar trees."""
+    """Canonical text; parse(format(x)) reproduces x for every node kind."""
     if isinstance(node, Lit):
         return "true" if node.value else "false"
     if isinstance(node, Cmp):
@@ -412,8 +397,6 @@ def format_node(node: Node, level: int = 0) -> str:
     if isinstance(node, Quant):
         text = f"{'forall' if node.forall else 'exists'} i: {format_node(node.body, 0)}"
         return f"({text})" if level > 0 else text
-    if isinstance(node, Dynamic):
-        return node.label
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -389,9 +389,12 @@ def certify_bijection(
     :func:`~tripart.enumeration.filter_partitions` for both sets.
     """
     route = tuple(route)
+    for letter in route:
+        if letter not in _ROUTE:
+            raise ValueError(f"route letters are 0, 1 or d; got {letter!r}")
+    steps = [_ROUTE[letter] for letter in route]
     sources = filter_partitions(n, domain, ceiling=ceiling)
     target = filter_partitions(n, codomain, ceiling=ceiling)
-    steps = [_ROUTE[letter] for letter in route]
     branches = tuple(branch for _, branch, _ in steps)
     pairs = []
     seen: dict[Partition, Partition] = {}

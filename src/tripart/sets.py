@@ -6,11 +6,12 @@ literally, since the smallest part of a two-part partition *is* the
 second part).  Sets over all dimensions, like distinct-parts ``D`` and
 odd-parts ``O``, use a single quantified form instead.
 
-Cylinder sets follow a branch word under the iterated triangle map and
-are defined dynamically: membership applies the map and recurses.  The
-length-one and length-two words also have intrinsic (map-free)
-registry entries; their equivalence is a theorem, checked exhaustively
-by the test suite rather than assumed.
+Cylinder sets follow a branch word under the iterated triangle map.  In
+each dimension a cylinder is a cone, one strict inequality per letter,
+built as a predicate tree; the tests check it against a walk of the
+map.  The length-one and length-two words also have intrinsic registry
+entries; their equivalence is a theorem, checked exhaustively by the
+test suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import _DELTA0, _DELTA1, classify_parts
-from .dsl import Dynamic, SetPredicate, _Parser, parse_predicate
-from .trimap import _t0_raw, _t1_raw
+from .dsl import And, Cmp, LinExpr, Or, SetPredicate, Sym, _Parser, parse_predicate
 
 
 class UnknownSetError(KeyError):
@@ -215,12 +214,35 @@ def registry_json() -> list[dict]:
     return out
 
 
+def _cone(word: tuple[int, ...], m: int, syms: dict[int, Sym]) -> tuple[Cmp, ...]:
+    """Each letter's class test in dimension m, as an atom ``c.L > 0``.
+
+    Position j holds a linear form in L1..Lm.  A letter reads positions
+    1, 2 and last, then applies its branch: below gives (L2..Lm, L1-L2),
+    above (L1-Lm, L2..Lm).  A test reading a position that ``syms`` does
+    not name is a KeyError.
+    """
+    vecs = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    atoms = []
+    for letter in word:
+        below = [b + z - a for a, b, z in zip(vecs[0], vecs[1], vecs[-1])]
+        sign = 1 if letter == 0 else -1
+        terms = tuple((sign * c, syms[j]) for j, c in enumerate(below) if c)
+        atoms.append(Cmp(LinExpr(terms), ">", LinExpr(())))
+        if letter == 0:
+            vecs = vecs[1:] + [tuple(a - b for a, b in zip(vecs[0], vecs[1]))]
+        else:
+            vecs = [tuple(a - z for a, z in zip(vecs[0], vecs[-1]))] + vecs[1:]
+    return tuple(atoms)
+
+
 def cylinder(word: Sequence[int]) -> SetPredicate:
     """The set of partitions following the branch word under iteration.
 
-    Membership is tested dynamically: classify, require the class to
-    match the next letter (the diagonal matches neither), apply that
-    branch, recurse.  Words of any positive length are supported.
+    Its class must match each letter in turn (the diagonal matches
+    neither) as that letter's branch applies.  For a word of length k,
+    :func:`_cone` gives one ``dim = m`` form per m in 2..k and one
+    ``dim >= k+1`` form, which reads only ``L1..L(k+1)`` and ``Llast``.
     """
     letters = tuple(word)
     if not letters:
@@ -228,17 +250,12 @@ def cylinder(word: Sequence[int]) -> SetPredicate:
     for letter in letters:
         if letter not in (0, 1):
             raise ValueError(f"cylinder letters must be 0 or 1, got {letter!r}")
-    # per letter, the class it requires and the raw branch step it takes;
-    # the diagonal and dimension one follow no letter
-    steps = tuple(((_DELTA0, _t0_raw), (_DELTA1, _t1_raw))[letter] for letter in letters)
-
-    def follows(L, K, m):
-        parts, mults = L, K
-        for cls, step in steps:
-            if classify_parts(parts) is not cls:
-                return False
-            parts, mults = step(parts, mults)
-        return True
-
-    label = "cylinder({})".format("".join(str(b) for b in letters))
-    return SetPredicate(Dynamic(label, follows))
+    k = len(letters)
+    syms = {j: Sym("L", j + 1) for j in range(k + 1)}
+    dim = LinExpr(((1, Sym("dim")),))
+    pieces = [And((Cmp(dim, "=", LinExpr((), m)),) + _cone(letters, m, syms))
+              for m in range(2, k + 1)]
+    # a dimension large enough that the tests read no later position
+    wide = _cone(letters, 2 * k + 2, syms | {2 * k + 1: Sym("L", "last")})
+    pieces.append(And((Cmp(dim, ">=", LinExpr((), k + 1)),) + wide))
+    return SetPredicate(pieces[0] if k == 1 else Or(tuple(pieces)))

@@ -70,9 +70,6 @@ class Orbit:
     terminal: Partition
 
 
-# Raw tuple transforms shared with the dynamic cylinder predicates,
-# which cannot afford Partition construction per step.
-
 def _t0_raw(parts, mults):
     return (
         parts[1:] + (parts[0] - parts[1],),

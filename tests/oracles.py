@@ -67,6 +67,26 @@ def classify_tag(parts):
     return "dd"
 
 
+def follows_word(parts, mults, word):
+    """Whether the partition follows the branch word under the slow map.
+
+    Walks the map itself: each letter must match the current class
+    ('d0' for 0, 'd1' for 1), then that branch steps the partition.
+    """
+    for letter in word:
+        if classify_tag(parts) != ("d0", "d1")[letter]:
+            return False
+        if letter == 0:
+            # below the diagonal: drop the largest part, append L1 - L2
+            parts = parts[1:] + (parts[0] - parts[1],)
+            mults = (mults[0] + mults[1],) + mults[2:] + (mults[0],)
+        else:
+            # above the diagonal: the largest part loses the smallest
+            parts = (parts[0] - parts[-1],) + parts[1:]
+            mults = mults[:-1] + (mults[0] + mults[-1],)
+    return True
+
+
 def is_distinct(parts, mults):
     return all(k == 1 for k in mults)
 

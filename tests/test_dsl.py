@@ -1,5 +1,7 @@
 """Predicate language: parsing, semantics, compilation, round trips."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,9 +164,10 @@ def test_format_parse_round_trip():
 def test_registry_sources_round_trip():
     from tripart import sets
 
-    for name in sets.names():
-        pred = builtin(name)
-        assert parse(pred.source()).root == pred.root
+    preds = [builtin(name) for name in sets.names()]
+    preds += [sets.cylinder(w) for k in range(1, 5) for w in itertools.product((0, 1), repeat=k)]
+    for pred in preds:
+        assert parse(pred.source()).root == pred.root, pred.source()
 
 
 def test_compiled_matches_reference_on_registry():

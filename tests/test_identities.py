@@ -241,6 +241,15 @@ def test_certify_not_injective():
         certify_bijection(builtin("DeltaD"), TRUE, ("D",), 9)
 
 
+def test_certify_rejects_bad_route_letter():
+    # checked up front, so an empty domain cannot hide a bad letter
+    from tripart.dsl import FALSE
+
+    for domain in (builtin("Delta0"), FALSE):
+        with pytest.raises(ValueError, match="route letters are 0, 1 or d; got 2"):
+            certify_bijection(domain, builtin("M0"), (2,), 5)
+
+
 def test_certify_diagonal_route():
     cert = certify_bijection(
         parse_set_expression("D and DeltaD and dim >= 3"), builtin("ED"), ("D",), 10,

@@ -1,5 +1,7 @@
 """Registry contents, cylinder sets, parameterized families."""
 
+import itertools
+
 import pytest
 
 from tripart import Partition, builtin, cylinder, gauss_set, parse_set_expression
@@ -101,6 +103,21 @@ def test_cylinder_examples():
     assert cylinder((0, 1))(P("(6,5)x[1,1]"))
     assert not cylinder((0, 0))(P("(6,5)x[1,1]"))
     assert not cylinder((0, 1))(P("(7)x[1]"))
+
+
+def test_cylinder_cones_match_map_walk():
+    # the derived cones against the oracle's walk of the map: every word
+    # of length <= 4 to n = 24, and the length-2 words on to n = 40
+    words = [w for k in range(1, 5) for w in itertools.product((0, 1), repeat=k)]
+    preds = {w: cylinder(w) for w in words}
+    for n in range(1, 41):
+        checked = words if n <= 24 else [w for w in words if len(w) == 2]
+        for parts, mults in oracles.part_mult_partitions(n):
+            p = Partition._wrap(parts, mults)
+            for w in checked:
+                want = oracles.follows_word(parts, mults, w)
+                assert preds[w].fn(parts, mults, len(parts)) == want, (w, str(p))
+                assert preds[w].member(p) == want, (w, str(p))
 
 
 def test_cylinder_word_validation():
