@@ -6,7 +6,8 @@ product of parts and multiplicities and the dimension is the number of
 distinct parts.  Partitions of dimension at least two split into three
 classes by comparing the largest part with the sum of the second and
 smallest parts (read as twice the second part in dimension two); the
-triangle map dispatches on that trichotomy.
+triangle map dispatches on that trichotomy.  The two off-diagonal moves
+of the slow map on decreasing vectors are defined here too.
 """
 
 from __future__ import annotations
@@ -75,6 +76,21 @@ def classify_parts(xs) -> PartitionClass:
     if xs[0] > threshold:
         return _DELTA1
     return _DELTA_D
+
+
+def _below(xs):
+    """The slow map's move below the diagonal: (x2..xm, x1-x2).
+
+    Like :func:`classify_parts`, it takes any decreasing tuple whose
+    entries subtract: partition parts, rational cone coordinates or the
+    linear forms that derive cylinders.
+    """
+    return xs[1:] + (xs[0] - xs[1],)
+
+
+def _above(xs):
+    """The slow map's move above the diagonal: (x1-xm, x2..xm); see :func:`_below`."""
+    return (xs[0] - xs[-1],) + xs[1:]
 
 
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")

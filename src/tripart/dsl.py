@@ -129,20 +129,25 @@ def _position(sym: Sym, m: int, i: int | None) -> int | None:
     return j - 1
 
 
+def _sym_value(sym: Sym, L, K, m: int, i: int | None) -> int | None:
+    """A symbol's value, or None when it is out of range or unbound."""
+    if sym.kind == "dim":
+        return m
+    if sym.kind == "idx":
+        return i
+    pos = _position(sym, m, i)
+    if pos is None:
+        return None
+    return L[pos] if sym.kind == "L" else K[pos]
+
+
 def _lin_value(expr: LinExpr, L, K, m: int, i: int | None) -> int | None:
     total = expr.const
     for coef, sym in expr.terms:
-        if sym.kind == "dim":
-            total += coef * m
-        elif sym.kind == "idx":
-            if i is None:
-                return None
-            total += coef * i
-        else:
-            pos = _position(sym, m, i)
-            if pos is None:
-                return None
-            total += coef * (L[pos] if sym.kind == "L" else K[pos])
+        v = _sym_value(sym, L, K, m, i)
+        if v is None:
+            return None
+        total += coef * v
     return total
 
 
@@ -166,18 +171,8 @@ def evaluate(node: Node, L, K, m: int, i: int | None = None) -> bool:
             return False
         return _CMP[node.op](lv, rv)
     if isinstance(node, Parity):
-        if node.sym.kind == "dim":
-            v = m
-        elif node.sym.kind == "idx":
-            if i is None:
-                return False
-            v = i
-        else:
-            pos = _position(node.sym, m, i)
-            if pos is None:
-                return False
-            v = L[pos] if node.sym.kind == "L" else K[pos]
-        return v % 2 == (1 if node.odd else 0)
+        v = _sym_value(node.sym, L, K, m, i)
+        return v is not None and v % 2 == (1 if node.odd else 0)
     if isinstance(node, Not):
         return not evaluate(node.item, L, K, m, i)
     if isinstance(node, And):

@@ -353,23 +353,22 @@ _ROUTE = {
     1: (_DELTA1, trimap.Branch.T1, trimap.apply_t1),
     "D": (_DELTA_D, trimap.Branch.TD, trimap.apply_td),
 }
+_ROUTE_TEXT = {"0": 0, "1": 1, "d": "D", "D": "D"}
 
 
 def parse_route(text: str) -> tuple:
     """Parse a route word like "0", "01" or "d" into route letters."""
-    route = []
-    for ch in text:
-        if ch == "0":
-            route.append(0)
-        elif ch == "1":
-            route.append(1)
-        elif ch in ("d", "D"):
-            route.append("D")
-        else:
-            raise ValueError(f"route letters are 0, 1 or d; got {ch!r}")
+    route = tuple(_ROUTE_TEXT.get(ch, ch) for ch in text)
+    _check_route(route)
     if not route:
         raise ValueError("empty route")
-    return tuple(route)
+    return route
+
+
+def _check_route(route: tuple) -> None:
+    for letter in route:
+        if letter not in _ROUTE:
+            raise ValueError(f"route letters are 0, 1 or d; got {letter!r}")
 
 
 def certify_bijection(
@@ -389,9 +388,7 @@ def certify_bijection(
     :func:`~tripart.enumeration.filter_partitions` for both sets.
     """
     route = tuple(route)
-    for letter in route:
-        if letter not in _ROUTE:
-            raise ValueError(f"route letters are 0, 1 or d; got {letter!r}")
+    _check_route(route)
     steps = [_ROUTE[letter] for letter in route]
     sources = filter_partitions(n, domain, ceiling=ceiling)
     target = filter_partitions(n, codomain, ceiling=ceiling)

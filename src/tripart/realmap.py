@@ -4,9 +4,10 @@ The cone consists of strictly decreasing positive coordinate tuples.
 Off the diagonal (first coordinate equal to second plus last, twice
 the second in dimension two) the map either rotates the first
 coordinate's excess to the back or shaves the last coordinate off the
-front; on the diagonal it is undefined.  Exact rationals keep the
-trichotomy decidable, which matters because the tests construct
-diagonal points deliberately.
+front; on the diagonal it is undefined.  Those two moves are
+``core._below`` and ``core._above``, the ones the partition map applies
+to parts.  Exact rationals keep the trichotomy decidable, which matters
+because the tests construct diagonal points deliberately.
 
 In dimension two the map computes continued fractions: runs of
 second-branch steps count a digit the way the Farey map does, and a
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _DELTA0, _DELTA_D, PartitionClass, classify_parts
+from .core import _DELTA0, _DELTA_D, PartitionClass, _above, _below, classify_parts
 
 
 class ConePointError(ValueError):
@@ -70,10 +71,7 @@ def apply_slow(x: ConePoint) -> ConePoint:
     cls = classify_cone(x)
     if cls is _DELTA_D:
         raise OnDiagonalError(f"({x}) lies on the diagonal")
-    c = x.coords
-    if cls is _DELTA0:
-        return ConePoint(c[1:] + (c[0] - c[1],))
-    return ConePoint((c[0] - c[-1],) + c[1:])
+    return ConePoint((_below if cls is _DELTA0 else _above)(x.coords))
 
 
 def cf_digits_via_map(x1, x2, max_steps: int = 10_000) -> list[int]:

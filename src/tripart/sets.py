@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import _above, _below
 from .dsl import And, Cmp, LinExpr, Or, SetPredicate, Sym, _Parser, parse_predicate
 
 
@@ -214,25 +215,29 @@ def registry_json() -> list[dict]:
     return out
 
 
+class _Form(tuple):
+    """Coefficients of a linear form in L1..Lm; forms subtract elementwise."""
+
+    def __sub__(self, other):
+        return _Form(a - b for a, b in zip(self, other))
+
+
 def _cone(word: tuple[int, ...], m: int, syms: dict[int, Sym]) -> tuple[Cmp, ...]:
     """Each letter's class test in dimension m, as an atom ``c.L > 0``.
 
-    Position j holds a linear form in L1..Lm.  A letter reads positions
-    1, 2 and last, then applies its branch: below gives (L2..Lm, L1-L2),
-    above (L1-Lm, L2..Lm).  A test reading a position that ``syms`` does
-    not name is a KeyError.
+    Position j holds a linear form in L1..Lm, and each letter steps the
+    forms with the map's own moves, ``core._below`` and ``core._above``,
+    after its class test reads positions 1, 2 and last.  A test reading
+    a position that ``syms`` does not name is a KeyError.
     """
-    vecs = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    vecs = tuple(_Form(int(i == j) for j in range(m)) for i in range(m))
     atoms = []
     for letter in word:
         below = [b + z - a for a, b, z in zip(vecs[0], vecs[1], vecs[-1])]
         sign = 1 if letter == 0 else -1
         terms = tuple((sign * c, syms[j]) for j, c in enumerate(below) if c)
         atoms.append(Cmp(LinExpr(terms), ">", LinExpr(())))
-        if letter == 0:
-            vecs = vecs[1:] + [tuple(a - b for a, b in zip(vecs[0], vecs[1]))]
-        else:
-            vecs = [tuple(a - z for a, z in zip(vecs[0], vecs[-1]))] + vecs[1:]
+        vecs = (_below if letter == 0 else _above)(vecs)
     return tuple(atoms)
 
 

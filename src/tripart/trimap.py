@@ -13,6 +13,8 @@ two):
 * on it, dimension two, i.e. (2*l2, l2) x [k1, k2]:
   (l2) x [2*k1+k2]
 
+The part moves of the first two branches are the slow map's own,
+``core._below`` and ``core._above``; the multiplicities move here.
 All four branches preserve size.  The first two preserve dimension and
 are bijections onto the multiplicity-side sets k1 > km and k1 < km
 respectively, with explicit inverses; the diagonal branch drops the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, _DIM1, Partition
+from .core import _DELTA0, _DELTA1, _DELTA_D, _DIM1, Partition, _above, _below
 
 
 class WrongBranchError(ValueError):
@@ -70,51 +72,30 @@ class Orbit:
     terminal: Partition
 
 
-def _t0_raw(parts, mults):
-    return (
-        parts[1:] + (parts[0] - parts[1],),
-        (mults[0] + mults[1],) + mults[2:] + (mults[0],),
-    )
-
-
-def _t1_raw(parts, mults):
-    return (
-        (parts[0] - parts[-1],) + parts[1:],
-        mults[:-1] + (mults[0] + mults[-1],),
-    )
-
-
-def _td_raw(parts, mults):
-    if len(parts) == 2:
-        return (parts[1],), (2 * mults[0] + mults[1],)
-    return (
-        parts[1:],
-        (mults[0] + mults[1],) + mults[2:-1] + (mults[0] + mults[-1],),
-    )
-
-
 def apply_t0(p: Partition) -> Partition:
     """First branch; requires l1 < l2 + lm (2*l2 when dim 2)."""
     if p.classify() is not _DELTA0:
         raise WrongBranchError(f"{p} is not below the diagonal")
-    parts, mults = _t0_raw(p.parts, p.mults)
-    return Partition(parts, mults)
+    k = p.mults
+    return Partition(_below(p.parts), (k[0] + k[1],) + k[2:] + (k[0],))
 
 
 def apply_t1(p: Partition) -> Partition:
     """Second branch; requires l1 > l2 + lm (2*l2 when dim 2)."""
     if p.classify() is not _DELTA1:
         raise WrongBranchError(f"{p} is not above the diagonal")
-    parts, mults = _t1_raw(p.parts, p.mults)
-    return Partition(parts, mults)
+    k = p.mults
+    return Partition(_above(p.parts), k[:-1] + (k[0] + k[-1],))
 
 
 def apply_td(p: Partition) -> Partition:
     """Diagonal branch; requires l1 = l2 + lm.  Drops dimension by one."""
     if p.classify() is not _DELTA_D:
         raise WrongBranchError(f"{p} is not on the diagonal")
-    parts, mults = _td_raw(p.parts, p.mults)
-    return Partition(parts, mults)
+    parts, k = p.parts, p.mults
+    if len(parts) == 2:
+        return Partition((parts[1],), (2 * k[0] + k[1],))
+    return Partition(parts[1:], (k[0] + k[1],) + k[2:-1] + (k[0] + k[-1],))
 
 
 def apply_t(p: Partition) -> MapStep:

@@ -67,6 +67,16 @@ def classify_tag(parts):
     return "dd"
 
 
+def slow_step(parts, mults, letter):
+    """One off-diagonal step of the map: letter 0 below, 1 above."""
+    if letter == 0:
+        # below the diagonal: drop the largest part, append L1 - L2
+        return (parts[1:] + (parts[0] - parts[1],),
+                (mults[0] + mults[1],) + mults[2:] + (mults[0],))
+    # above the diagonal: the largest part loses the smallest
+    return (parts[0] - parts[-1],) + parts[1:], mults[:-1] + (mults[0] + mults[-1],)
+
+
 def follows_word(parts, mults, word):
     """Whether the partition follows the branch word under the slow map.
 
@@ -76,14 +86,7 @@ def follows_word(parts, mults, word):
     for letter in word:
         if classify_tag(parts) != ("d0", "d1")[letter]:
             return False
-        if letter == 0:
-            # below the diagonal: drop the largest part, append L1 - L2
-            parts = parts[1:] + (parts[0] - parts[1],)
-            mults = (mults[0] + mults[1],) + mults[2:] + (mults[0],)
-        else:
-            # above the diagonal: the largest part loses the smallest
-            parts = (parts[0] - parts[-1],) + parts[1:]
-            mults = mults[:-1] + (mults[0] + mults[-1],)
+        parts, mults = slow_step(parts, mults, letter)
     return True
 
 

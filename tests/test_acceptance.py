@@ -188,16 +188,16 @@ def test_criterion_05_cylinder_characterization():
         (1, 0): builtin("Delta10"),
         (1, 1): builtin("Delta11"),
     }
-    dynamic = {word: cylinder(word).fn for word in words}
+    derived = {word: cylinder(word).fn for word in words}
     intrinsic = {word: pred.fn for word, pred in words.items()}
     bad = 0
     for n in range(1, N_MID + 1):
         for parts, mults in iter_raw(n):
             m = len(parts)
             for word in words:
-                if dynamic[word](parts, mults, m) != intrinsic[word](parts, mults, m):
+                if derived[word](parts, mults, m) != intrinsic[word](parts, mults, m):
                     bad += 1
-    report(5, f"dynamic cylinders equal intrinsic forms for 00/01/10/11,"
+    report(5, f"derived cylinders equal intrinsic forms for 00/01/10/11,"
               f" n <= {N_MID}", bad == 0, f"{bad} disagreements")
 
 

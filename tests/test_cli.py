@@ -194,11 +194,25 @@ def test_out_flag(tmp_path):
     assert len(target.read_text().splitlines()) == 5
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    for args in (
+        ("enumerate", "5", "--out", str(tmp_path / "missing" / "x.txt")),
+        ("verify", "euler", "--nmax", "3", "--out", str(tmp_path)),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stderr.startswith("error: cannot write "), args
+        assert "Traceback" not in result.stderr, args
+
+
 def test_usage_exit_codes():
     assert run_cli("verify", "nonsense", "--nmax", "5").returncode == 2
     assert run_cli("nonsense").returncode == 2
     assert run_cli("sets", "show").returncode == 2
     assert run_cli("certify", "Delta0", "M0", "2", "8").returncode == 2
+    result = run_cli("certify", "Delta0", "M0", "2", "5")
+    assert (result.returncode, result.stderr) == (
+        2, "error: route letters are 0, 1 or d; got '2'\n")
     assert run_cli("verify", "offset", "--d", "0", "--nmax", "5").returncode == 2
     assert run_cli("series", "L1 <", "--N", "5").returncode == 2
 

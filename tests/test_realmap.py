@@ -134,3 +134,19 @@ def test_cone_and_partition_trichotomy_agree():
                 assert cls is p.classify(), p
                 seen.add(cls)
     assert seen == {PartitionClass.DELTA0, PartitionClass.DELTA1, PartitionClass.DELTA_D}
+
+
+def test_cone_and_partition_moves_agree():
+    # off the diagonal the partition map moves the parts as the cone map
+    # moves its point, and both match the oracle's own step
+    from tripart import apply_t, iter_partitions
+
+    for n in range(1, 21):
+        for p in iter_partitions(n):
+            tag = oracles.classify_tag(p.parts)
+            if p.dimension < 2 or tag == "dd":
+                continue
+            expected = oracles.slow_step(p.parts, p.mults, ("d0", "d1").index(tag))
+            image = apply_t(p).image
+            assert (image.parts, image.mults) == expected, p
+            assert apply_slow(ConePoint(p.parts)).coords == expected[0], p
