@@ -1,10 +1,13 @@
 """Command-line surface: enumeration, mapping, sets, verification, series.
 
 Output is deterministic: fixed column and row order, no timestamps.
-Exit codes: 0 success, 1 a requested verification failed, 2 usage
-error, 3 an operation was applied outside its contract (for example
-forcing the wrong branch of the map), 4 an internal fault (a bug),
-reported with its traceback on stderr.
+Each command returns its exit code and its output, and ``main`` writes
+the output once.  Exit codes: 0 success, 1 a requested verification
+failed, 2 usage error (any ``InputError``), 3 an operation was applied
+outside its contract (any ``ContractError``, for example forcing the
+wrong branch of the map), 4 an internal fault (a bug), reported with
+its traceback on stderr.  The class of an error, not this module,
+decides between 2 and 3.
 """
 
 from __future__ import annotations
@@ -17,29 +20,17 @@ import sys
 from fractions import Fraction
 
 from . import identities, qseries, realmap, sets, trimap
-from .core import Partition, PartitionError
+from .core import ContractError, InputError, Partition
 from .dsl import DslError, SetPredicate
-from .enumeration import (
-    DESK_CEILING,
-    DeskCeilingError,
-    NonPositiveSizeError,
-    filter_partitions,
-    partitions_of,
-)
+from .enumeration import DESK_CEILING, filter_partitions, partitions_of
 from .identities import (
     BranchMismatchError,
     CountReport,
     NotInjectiveError,
     NotOntoError,
 )
-from .realmap import BadRatioError, ConePoint, ConePointError
+from .realmap import ConePoint
 from .sets import UnknownSetError
-from .trimap import (
-    DimensionOneError,
-    NotInM0Error,
-    NotInM1Error,
-    WrongBranchError,
-)
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -47,7 +38,7 @@ CONTRACT_VIOLATION = 3
 INTERNAL_ERROR = 4
 
 
-class _UsageError(Exception):
+class _UsageError(InputError):
     pass
 
 
@@ -63,6 +54,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv(header, rows) -> str:
+    """CSV text of a header row and then ``rows``, read lazily."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _resolve_predicate(text: str) -> SetPredicate:
     """A set name from the registry, or predicate text (which may itself
     reference registered names)."""
@@ -70,13 +74,6 @@ def _resolve_predicate(text: str) -> SetPredicate:
         return sets.parse_set_expression(text)
     except DslError as exc:
         raise _UsageError(f"{text!r} is neither a known set nor valid predicate text: {exc}")
-
-
-def _parse_partition(text: str) -> Partition:
-    try:
-        return Partition.from_text(text)
-    except PartitionError as exc:
-        raise _UsageError(str(exc))
 
 
 def _check_ceiling(n: int, ceiling: int | None) -> None:
@@ -117,33 +114,23 @@ def _render_report_text(report: CountReport) -> str:
 
 
 def _render_report_csv(report: CountReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n"] + list(report.columns))
-    for offset, row in enumerate(report.rows):
-        writer.writerow([report.n_lo + offset] + list(row))
-    return buf.getvalue()
+    return _csv(["n", *report.columns],
+                ([report.n_lo + offset, *row] for offset, row in enumerate(report.rows)))
 
 
 def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str) -> str:
     if fmt == "json":
-        payload = {"name": name, **series.to_json()}
-        return json.dumps(payload, indent=2) + "\n"
+        return _json({"name": name, **series.to_json()})
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "coefficient"])
-        for n, c in enumerate(series.coeffs):
-            writer.writerow([n, c])
-        return buf.getvalue()
+        return _csv(("n", "coefficient"), enumerate(series.coeffs))
     lines = [f"{name}: coefficients 0..{series.order}"]
     lines += [f"{n:4d}  {c}" for n, c in enumerate(series.coeffs)]
     return "\n".join(lines) + "\n"
 
 
-# --- subcommands ---------------------------------------------------------
+# --- subcommands: each returns (exit code, output text) -------------------
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, str]:
     _check_ceiling(args.n, args.desk_ceiling)
     if args.filter:
         pred = _resolve_predicate(args.filter)
@@ -151,22 +138,14 @@ def _cmd_enumerate(args) -> int:
     else:
         listing = partitions_of(args.n, ceiling=args.desk_ceiling)
     if args.format == "json":
-        payload = {
+        return 0, _json({
             "n": listing.n,
             "count": len(listing),
             "items": [p.to_json() for p in listing],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["partition"])
-        for p in listing:
-            writer.writerow([str(p)])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit("".join(f"{p}\n" for p in listing), args.out)
-    return 0
+        })
+    if args.format == "csv":
+        return 0, _csv(("partition",), ((str(p),) for p in listing))
+    return 0, "".join(f"{p}\n" for p in listing)
 
 
 _BRANCHES = {
@@ -178,8 +157,8 @@ _BRANCHES = {
 }
 
 
-def _cmd_map(args) -> int:
-    p = _parse_partition(args.partition)
+def _cmd_map(args) -> tuple[int, str]:
+    p = Partition.from_text(args.partition)
     if args.branch == "auto":
         step = trimap.apply_t(p)
         branch, image = str(step.branch), step.image
@@ -187,62 +166,51 @@ def _cmd_map(args) -> int:
         branch, fn = _BRANCHES[args.branch]
         image = fn(p)
     if args.format == "json":
-        payload = {"source": p.to_json(), "branch": branch, "image": image.to_json()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(f"{p}  branch {branch}  ->  {image}\n", args.out)
-    return 0
+        return 0, _json({"source": p.to_json(), "branch": branch, "image": image.to_json()})
+    return 0, f"{p}  branch {branch}  ->  {image}\n"
 
 
-def _cmd_orbit(args) -> int:
-    p = _parse_partition(args.partition)
-    result = trimap.orbit(p, args.steps)
+def _cmd_orbit(args) -> tuple[int, str]:
+    result = trimap.orbit(Partition.from_text(args.partition), args.steps)
     if args.format == "json":
-        payload = {
+        return 0, _json({
             "start": result.start.to_json(),
             "steps": [
                 {"branch": str(s.branch), "image": s.image.to_json()}
                 for s in result.steps
             ],
             "terminal": result.terminal.to_json(),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"start {result.start}"]
-        lines += [f"{s.branch} -> {s.image}" for s in result.steps]
-        lines.append(f"terminal {result.terminal}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        })
+    lines = [f"start {result.start}"]
+    lines += [f"{s.branch} -> {s.image}" for s in result.steps]
+    lines.append(f"terminal {result.terminal}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_sets(args) -> int:
+def _cmd_sets(args) -> tuple[int, str]:
     if args.action == "list":
         if args.format == "json":
-            _emit(json.dumps(sets.registry_json(), indent=2) + "\n", args.out)
-        else:
-            rows = [("name", "dim = 2", "dim >= 3")]
-            for info in sets.registry_json():
-                rows.append((info["name"], info["dim2"], info["dim3"]))
-            widths = [max(len(r[i]) for r in rows) for i in range(3)]
-            text = "\n".join(
-                "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                for row in rows
-            )
-            extra = "\nparameterized: Delta0Off(d), Delta1Off(d), GaussG(d) for d >= 1\n"
-            _emit(text + "\n" + extra, args.out)
-        return 0
+            return 0, _json(sets.registry_json())
+        rows = [("name", "dim = 2", "dim >= 3")]
+        for info in sets.registry_json():
+            rows.append((info["name"], info["dim2"], info["dim3"]))
+        widths = [max(len(r[i]) for r in rows) for i in range(3)]
+        text = "\n".join(
+            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in rows
+        )
+        extra = "\nparameterized: Delta0Off(d), Delta1Off(d), GaussG(d) for d >= 1\n"
+        return 0, text + "\n" + extra
     if args.action == "show":
         try:
             pred = sets.builtin(args.name)
         except UnknownSetError:
             raise _UsageError(f"unknown set {args.name!r}")
-        _emit(f"{args.name}: {pred.source()}\n", args.out)
-        return 0
+        return 0, f"{args.name}: {pred.source()}\n"
     # eval
     pred = _resolve_predicate(args.name)
-    p = _parse_partition(args.partition)
-    _emit(("true" if pred(p) else "false") + "\n", args.out)
-    return 0
+    p = Partition.from_text(args.partition)
+    return 0, ("true" if pred(p) else "false") + "\n"
 
 
 def _verify_equicount(args) -> list[tuple[str, CountReport]]:
@@ -277,7 +245,7 @@ _VERIFIERS = {
 }
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     _check_ceiling(args.nmax, args.desk_ceiling)
     name = args.theorem
     if name != "equicount" and args.args:
@@ -286,8 +254,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError(f"unknown theorem {name!r}")
     reports = _VERIFIERS[name](args)
     if args.format == "json":
-        payload = [{"name": label, **report.to_json()} for label, report in reports]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json([{"name": label, **report.to_json()} for label, report in reports])
     elif args.format == "csv":
         text = "".join(_render_report_csv(report) for _, report in reports)
     else:
@@ -296,11 +263,10 @@ def _cmd_verify(args) -> int:
             chunks.append(f"== {label} (n <= {args.nmax}) ==\n"
                           + _render_report_text(report))
         text = "\n".join(chunks)
-    _emit(text, args.out)
-    return 0 if all(report.passed for _, report in reports) else VERIFY_FAILURE
+    return (0 if all(report.passed for _, report in reports) else VERIFY_FAILURE), text
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> tuple[int, str]:
     _check_ceiling(args.n, args.desk_ceiling)
     domain = _resolve_predicate(args.domain)
     codomain = _resolve_predicate(args.codomain)
@@ -314,19 +280,16 @@ def _cmd_certify(args) -> int:
             ceiling=args.desk_ceiling,
         )
     except (BranchMismatchError, NotInjectiveError, NotOntoError) as exc:
-        _emit(f"certification failed: {exc}\n", args.out)
-        return VERIFY_FAILURE
+        return VERIFY_FAILURE, f"certification failed: {exc}\n"
     if args.format == "json":
-        _emit(json.dumps(cert.to_json(), indent=2) + "\n", args.out)
-    else:
-        lines = [f"{args.domain} -> {args.codomain} via {args.word} at n={args.n}"]
-        lines += [f"{src}  ->  {img}" for src, _, img in cert.pairs]
-        lines.append(f"pairs: {len(cert.pairs)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, _json(cert.to_json())
+    lines = [f"{args.domain} -> {args.codomain} via {args.word} at n={args.n}"]
+    lines += [f"{src}  ->  {img}" for src, _, img in cert.pairs]
+    lines.append(f"pairs: {len(cert.pairs)}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple[int, str]:
     _check_ceiling(args.N, args.desk_ceiling)
     name = args.series
     if name == "P":
@@ -338,34 +301,25 @@ def _cmd_series(args) -> int:
     else:
         pred = _resolve_predicate(name)
         series = qseries.set_series(pred, args.N)
-    _emit(_render_series(name, series, args.format), args.out)
-    return 0
+    return 0, _render_series(name, series, args.format)
 
 
-def _cmd_realmap(args) -> int:
-    if args.action != "orbit":
-        raise _UsageError(f"unknown realmap action {args.action!r}")
+def _cmd_realmap(args) -> tuple[int, str]:
     try:
         coords = tuple(Fraction(part) for part in args.point.split(","))
         point = ConePoint(coords)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad cone point {args.point!r}: {exc}")
-    lines = [f"start {point}"]
-    steps = []
-    for _ in range(args.steps):
-        cls = realmap.classify_cone(point)
-        if cls.value == "DeltaD":
-            lines.append("diagonal reached")
-            break
-        point = realmap.apply_slow(point)
-        steps.append({"class": cls.value, "point": str(point)})
-        lines.append(f"{cls.value} -> {point}")
+    steps, on_diagonal = realmap.orbit(point, args.steps)
     if args.format == "json":
-        payload = {"steps": steps, "terminal": str(point)}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, _json({
+            "steps": [{"class": cls.value, "point": str(image)} for cls, image in steps],
+            "terminal": str(steps[-1][1] if steps else point),
+        })
+    lines = [f"start {point}"] + [f"{cls} -> {image}" for cls, image in steps]
+    if on_diagonal:
+        lines.append("diagonal reached")
+    return 0, "\n".join(lines) + "\n"
 
 
 # --- argument plumbing ----------------------------------------------------
@@ -395,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "table", "json", "csv"),
                         default="text", help="table is an alias for text")
     common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument("--desk-ceiling", type=int, default=None,
+    common.add_argument("--desk-ceiling", type=_int_at_least(1), default=None,
                         help=f"raise the enumeration ceiling (default {DESK_CEILING})")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -469,17 +423,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.action == "eval" and args.partition is None:
             parser.error("sets eval needs a partition literal")
     try:
-        return args.fn(args)
-    except _UsageError as exc:
+        code, text = args.fn(args)
+        _emit(text, args.out)
+        return code
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (PartitionError, DslError, UnknownSetError, NonPositiveSizeError,
-            DeskCeilingError, BadRatioError, ConePointError,
-            identities.NonPositiveOffsetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (WrongBranchError, DimensionOneError, NotInM0Error, NotInM1Error,
-            realmap.OnDiagonalError) as exc:
+    except ContractError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return CONTRACT_VIOLATION
     except Exception as exc:  # noqa: BLE001 - anything else is an internal fault

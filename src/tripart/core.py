@@ -7,7 +7,10 @@ distinct parts.  Partitions of dimension at least two split into three
 classes by comparing the largest part with the sum of the second and
 smallest parts (read as twice the second part in dimension two); the
 triangle map dispatches on that trichotomy.  The two off-diagonal moves
-of the slow map on decreasing vectors are defined here too.
+of the slow map on decreasing vectors are defined here too, and so are
+the two bases of the library's errors: ``InputError`` for input that is
+wrong and ``ContractError`` for an operation applied outside its
+contract.  The CLI maps the first to exit 2 and the second to exit 3.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ import re
 from dataclasses import dataclass
 
 
-class PartitionError(ValueError):
+class InputError(ValueError):
+    """The caller's input is wrong: malformed, out of range or unknown."""
+
+
+class ContractError(ValueError):
+    """An operation was applied outside its contract, e.g. the wrong map branch."""
+
+
+class PartitionError(InputError):
     """Invalid partition data."""
 
 

@@ -25,10 +25,10 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Partition
+from .core import InputError, Partition
 
 
-class DslError(ValueError):
+class DslError(InputError):
     """Base class for predicate-language errors."""
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import Partition
+from .core import InputError, Partition
 from .dsl import raw_test
 
 #: Largest n enumerated without an explicit override.  p(60) is just
@@ -29,11 +29,11 @@ from .dsl import raw_test
 DESK_CEILING = 60
 
 
-class NonPositiveSizeError(ValueError):
+class NonPositiveSizeError(InputError):
     """Enumeration target n must be at least 1."""
 
 
-class DeskCeilingError(ValueError):
+class DeskCeilingError(InputError):
     """n exceeds the desk-scale ceiling and no override was given."""
 
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, Partition
+from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition
 from .dsl import SetPredicate, compile_columns, parse_predicate, raw_test
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, gauss_set
 from . import trimap
 
 
-class NonPositiveOffsetError(ValueError):
+class NonPositiveOffsetError(InputError):
     """The offset parameter d must be at least 1."""
 
 

@@ -19,18 +19,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import _DELTA0, _DELTA_D, PartitionClass, _above, _below, classify_parts
+from .core import (
+    _DELTA0, _DELTA_D, ContractError, InputError, PartitionClass, _above, _below, classify_parts,
+)
 
 
-class ConePointError(ValueError):
+class ConePointError(InputError):
     """Coordinates are not strictly decreasing positive rationals."""
 
 
-class OnDiagonalError(ValueError):
+class OnDiagonalError(ContractError):
     """The map is undefined where the first coordinate equals second + last."""
 
 
-class BadRatioError(ValueError):
+class BadRatioError(InputError):
     """Digit extraction needs x1 > x2 > 0."""
 
 
@@ -74,6 +76,24 @@ def apply_slow(x: ConePoint) -> ConePoint:
     return ConePoint((_below if cls is _DELTA0 else _above)(x.coords))
 
 
+def orbit(
+    x: ConePoint, max_steps: int
+) -> tuple[list[tuple[PartitionClass, ConePoint]], bool]:
+    """Iterate the slow map until the diagonal or the step budget.
+
+    Returns the steps as ``(class, image)`` pairs and whether the walk
+    stopped on the diagonal (rather than by running out of budget).
+    """
+    steps: list[tuple[PartitionClass, ConePoint]] = []
+    for _ in range(max_steps):
+        cls = classify_cone(x)
+        if cls is _DELTA_D:
+            return steps, True
+        x = apply_slow(x)
+        steps.append((cls, x))
+    return steps, False
+
+
 def cf_digits_via_map(x1, x2, max_steps: int = 10_000) -> list[int]:
     """Continued-fraction digits of x2/x1 read off the slow map.
 
@@ -86,18 +106,15 @@ def cf_digits_via_map(x1, x2, max_steps: int = 10_000) -> list[int]:
     x1, x2 = Fraction(x1), Fraction(x2)
     if not (x1 > x2 > 0):
         raise BadRatioError(f"need x1 > x2 > 0, got {x1}, {x2}")
+    steps, on_diagonal = orbit(ConePoint((x1, x2)), max_steps)
     digits: list[int] = []
     run = 0
-    point = ConePoint((x1, x2))
-    for _ in range(max_steps):
-        cls = classify_cone(point)
-        if cls is _DELTA_D:
-            digits.append(run + 2)
-            return digits
+    for cls, _ in steps:
         if cls is _DELTA0:
             digits.append(run + 1)
             run = 0
         else:
             run += 1
-        point = apply_slow(point)
+    if on_diagonal:
+        digits.append(run + 2)
     return digits

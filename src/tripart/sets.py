@@ -20,11 +20,11 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import _above, _below
+from .core import InputError, _above, _below
 from .dsl import And, Cmp, LinExpr, Or, SetPredicate, Sym, _Parser, parse_predicate
 
 
-class UnknownSetError(KeyError):
+class UnknownSetError(InputError, KeyError):
     """No registered set has this name."""
 
 

@@ -26,22 +26,22 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, _DIM1, Partition, _above, _below
+from .core import _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, Partition, _above, _below
 
 
-class WrongBranchError(ValueError):
+class WrongBranchError(ContractError):
     """A branch map was applied outside its domain."""
 
 
-class DimensionOneError(ValueError):
+class DimensionOneError(ContractError):
     """The map is undefined on partitions with a single distinct part."""
 
 
-class NotInM0Error(ValueError):
+class NotInM0Error(ContractError):
     """Inverting the first branch needs k1 > km."""
 
 
-class NotInM1Error(ValueError):
+class NotInM1Error(ContractError):
     """Inverting the second branch needs k1 < km."""
 
 

@@ -1,11 +1,15 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
-from tripart import cli, identities
+import tripart
+from tripart import cli, core, dsl, enumeration, identities, realmap, sets, trimap
+from tripart.core import ContractError, InputError
 
 CMD = [sys.executable, "-m", "tripart.cli"]
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -230,6 +234,7 @@ def test_out_of_range_numbers_are_usage_errors():
         ("series", "D", "--N", "-2"),
         ("orbit", "(3,1)x[1,1]", "--steps", "-1"),
         ("realmap", "orbit", "7/2,1", "--steps", "-1"),
+        ("series", "P", "--N", "0", "--desk-ceiling", "0"),
     ):
         result = run_cli(*args)
         assert result.returncode == 2, args
@@ -262,6 +267,52 @@ def test_certify_golden_output(capsys):
         code = cli.main(case["argv"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (case["exit"], case["stdout"], ""), case["argv"]
+
+
+def test_cli_golden_output(capsys):
+    # every other command in every format, plus the error paths that leave
+    # through cli.main (exit 2 and exit 3), stderr included
+    cases = json.loads((FIXTURES / "cli_golden.json").read_text(encoding="utf-8"))
+    assert len(cases) == 56
+    for case in cases:
+        code = cli.main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_every_library_error_has_an_exit_code():
+    # the class of an error decides its CLI exit code: InputError gives 2,
+    # ContractError gives 3; these stand outside both, each for a reason
+    outside = {
+        identities.BranchMismatchError: "certify reports it on stdout, exit 1",
+        identities.NotInjectiveError: "certify reports it on stdout, exit 1",
+        identities.NotOntoError: "certify reports it on stdout, exit 1",
+        sets.EmptyWordError: "library only: no command takes a cylinder word",
+    }
+    defined = []
+    for info in pkgutil.iter_modules(tripart.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"tripart.{info.name}")
+        defined += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__]
+    assert set(outside) <= set(defined)
+    unmapped = [cls.__qualname__ for cls in defined
+                if not issubclass(cls, (InputError, ContractError)) and cls not in outside]
+    assert unmapped == []
+    # the re-parented classes keep their builtin bases
+    inputs = (core.PartitionError, dsl.DslError, enumeration.NonPositiveSizeError,
+              enumeration.DeskCeilingError, realmap.BadRatioError, realmap.ConePointError,
+              identities.NonPositiveOffsetError, sets.UnknownSetError)
+    contracts = (trimap.WrongBranchError, trimap.DimensionOneError, trimap.NotInM0Error,
+                 trimap.NotInM1Error, realmap.OnDiagonalError)
+    for cls in inputs + contracts:
+        assert issubclass(cls, ValueError), cls
+        assert issubclass(cls, InputError) == (cls in inputs), cls
+        assert issubclass(cls, ContractError) == (cls in contracts), cls
+    assert issubclass(sets.UnknownSetError, KeyError)
+    assert str(sets.UnknownSetError("Zeta")) == "'Zeta'"
 
 
 def test_internal_fault_exit_code_and_traceback(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from tripart.realmap import (
     apply_slow,
     cf_digits_via_map,
     classify_cone,
+    orbit,
 )
 
 import oracles
@@ -105,6 +106,22 @@ def test_cf_budget_returns_prefix():
     full = cf_digits_via_map(89, 55)
     assert digits == full[: len(digits)]
     assert len(digits) < len(full)
+
+
+def test_orbit_stops_on_diagonal_or_budget():
+    start = ConePoint((F(7, 2), F(1)))
+    steps, on_diagonal = orbit(start, 50)
+    assert on_diagonal
+    assert classify_cone(steps[-1][1]) is PartitionClass.DELTA_D
+    point = start
+    for cls, image in steps:
+        assert cls is classify_cone(point)
+        point = apply_slow(point)
+        assert image == point
+    # a budget shorter than the walk stops it first, on the same prefix
+    assert orbit(start, len(steps) - 1) == (steps[:-1], False)
+    # a point on the diagonal takes no step
+    assert orbit(ConePoint((F(3), F(2), F(1))), 5) == ([], True)
 
 
 def test_bad_ratio():
