@@ -38,16 +38,12 @@ CONTRACT_VIOLATION = 3
 INTERNAL_ERROR = 4
 
 
-class _UsageError(InputError):
-    pass
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
             fh = open(out, "w", encoding="utf-8")
         except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc.strerror}") from None
+            raise InputError(f"cannot write {out}: {exc.strerror}") from None
         with fh:
             fh.write(text)
     else:
@@ -73,13 +69,13 @@ def _resolve_predicate(text: str) -> SetPredicate:
     try:
         return sets.parse_set_expression(text)
     except DslError as exc:
-        raise _UsageError(f"{text!r} is neither a known set nor valid predicate text: {exc}")
+        raise InputError(f"{text!r} is neither a known set nor valid predicate text: {exc}")
 
 
 def _check_ceiling(n: int, ceiling: int | None) -> None:
     limit = DESK_CEILING if ceiling is None else ceiling
     if n > limit:
-        raise _UsageError(
+        raise InputError(
             f"n={n} exceeds the desk ceiling {limit}; raise it with --desk-ceiling"
         )
 
@@ -205,7 +201,7 @@ def _cmd_sets(args) -> tuple[int, str]:
         try:
             pred = sets.builtin(args.name)
         except UnknownSetError:
-            raise _UsageError(f"unknown set {args.name!r}")
+            raise InputError(f"unknown set {args.name!r}")
         return 0, f"{args.name}: {pred.source()}\n"
     # eval
     pred = _resolve_predicate(args.name)
@@ -215,7 +211,7 @@ def _cmd_sets(args) -> tuple[int, str]:
 
 def _verify_equicount(args) -> list[tuple[str, CountReport]]:
     if len(args.args) != 2:
-        raise _UsageError("verify equicount needs exactly two set arguments")
+        raise InputError("verify equicount needs exactly two set arguments")
     a, b = (_resolve_predicate(text) for text in args.args)
     return [("equicount", identities.verify_equicount(a, b, args.nmax, names=tuple(args.args)))]
 
@@ -249,9 +245,9 @@ def _cmd_verify(args) -> tuple[int, str]:
     _check_ceiling(args.nmax, args.desk_ceiling)
     name = args.theorem
     if name != "equicount" and args.args:
-        raise _UsageError(f"verify {name} takes no positional set arguments")
+        raise InputError(f"verify {name} takes no positional set arguments")
     if name not in _VERIFIERS:
-        raise _UsageError(f"unknown theorem {name!r}")
+        raise InputError(f"unknown theorem {name!r}")
     reports = _VERIFIERS[name](args)
     if args.format == "json":
         text = _json([{"name": label, **report.to_json()} for label, report in reports])
@@ -270,10 +266,7 @@ def _cmd_certify(args) -> tuple[int, str]:
     _check_ceiling(args.n, args.desk_ceiling)
     domain = _resolve_predicate(args.domain)
     codomain = _resolve_predicate(args.codomain)
-    try:
-        route = identities.parse_route(args.word)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    route = identities.parse_route(args.word)
     try:
         cert = identities.certify_bijection(
             domain, codomain, route, args.n, names=(args.domain, args.codomain),
@@ -309,7 +302,7 @@ def _cmd_realmap(args) -> tuple[int, str]:
         coords = tuple(Fraction(part) for part in args.point.split(","))
         point = ConePoint(coords)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad cone point {args.point!r}: {exc}")
+        raise InputError(f"bad cone point {args.point!r}: {exc}")
     steps, on_diagonal = realmap.orbit(point, args.steps)
     if args.format == "json":
         return 0, _json({
@@ -349,12 +342,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "table", "json", "csv"),
                         default="text", help="table is an alias for text")
     common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument("--desk-ceiling", type=_int_at_least(1), default=None,
-                        help=f"raise the enumeration ceiling (default {DESK_CEILING})")
+    sized = argparse.ArgumentParser(add_help=False, parents=[common])
+    sized.add_argument("--desk-ceiling", type=_int_at_least(1), default=None,
+                       help=f"raise the enumeration ceiling (default {DESK_CEILING})")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common],
+    p = sub.add_parser("enumerate", parents=[sized],
                        help="list all partitions of n")
     p.add_argument("n", type=int)
     p.add_argument("--filter", default=None, help="set name or predicate text")
@@ -378,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("partition", nargs="?", default=None)
     p.set_defaults(fn=_cmd_sets)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[sized],
                        help="run a theorem verifier; exit 1 on failure")
     p.add_argument("theorem",
                    help="delta-m | offset | cylinder1 | cylinder2 | gauss"
@@ -388,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[sized],
                        help="emit an explicit bijection pairing table")
     p.add_argument("domain")
     p.add_argument("codomain")
@@ -396,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.set_defaults(fn=_cmd_certify)
 
-    p = sub.add_parser("series", parents=[common],
+    p = sub.add_parser("series", parents=[sized],
                        help="coefficients of a counting series")
     p.add_argument("series", help="set name, predicate text, P, divisor, odd-divisor")
     p.add_argument("--N", type=_int_at_least(0), default=DESK_CEILING)

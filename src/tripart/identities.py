@@ -106,8 +106,8 @@ def odd_divisor_count(n: int) -> int:
     return sum(1 for d in range(1, n + 1, 2) if n % d == 0)
 
 
-def _dimension_one_count(n: int) -> int:
-    """1 + [3 divides n]: the families (n)x[1] and (n/3)x[3]."""
+def _unpaired_distinct_count(n: int) -> int:
+    """1 + [3 divides n]: the families (n)x[1] and (2a,a)x[1,1] with n = 3a."""
     return 1 + (n % 3 == 0)
 
 
@@ -281,15 +281,15 @@ def verify_distinct_theorem(n_max: int) -> CountReport:
     """Distinct-parts decomposition with arithmetic correction terms.
 
     Per n: |D| = 1 + |E0| + |E1| + |ED| + [3 divides n].  The leading 1
-    counts (n)x[1] and the divisibility term counts (n/3)x[3]; both are
-    dimension-one families the map never reaches, so they are computed
-    arithmetically rather than by enumeration.
+    counts (n)x[1] and the divisibility term counts (2a,a)x[1,1], n = 3a,
+    which TD sends to (a)x[3], outside ED.  No route pairs either family
+    with an E set, so both are computed arithmetically, not by enumeration.
     """
     names = ("D", "E0", "E1", "ED")
     return _check(
         [builtin(name) for name in names], names + ("corr",),
         [("D = 1 + E0 + E1 + ED + [3|n]", 0, (4, 1, 2, 3))],
-        n_max, arithmetic=(_dimension_one_count,),
+        n_max, arithmetic=(_unpaired_distinct_count,),
     )
 
 
@@ -313,7 +313,7 @@ def verify_euler_chain(n_max: int) -> CountReport:
             ("D = 1 + E0 + E1 + ED + [3|n]", 0, (7, 2, 3, 4)),
             ("O = oddDivisors + F0 + F1", 1, (8, 5, 6)),
         ],
-        n_max, arithmetic=(_dimension_one_count, odd_divisor_count),
+        n_max, arithmetic=(_unpaired_distinct_count, odd_divisor_count),
     )
 
 
@@ -361,14 +361,14 @@ def parse_route(text: str) -> tuple:
     route = tuple(_ROUTE_TEXT.get(ch, ch) for ch in text)
     _check_route(route)
     if not route:
-        raise ValueError("empty route")
+        raise InputError("empty route")
     return route
 
 
 def _check_route(route: tuple) -> None:
     for letter in route:
         if letter not in _ROUTE:
-            raise ValueError(f"route letters are 0, 1 or d; got {letter!r}")
+            raise InputError(f"route letters are 0, 1 or d; got {letter!r}")
 
 
 def certify_bijection(

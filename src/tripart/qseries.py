@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .core import ContractError, InputError
 from .enumeration import iter_raw
 from .dsl import SetPredicate, compile_columns
 
@@ -35,12 +36,12 @@ class SeriesCoeffs:
 
     def __add__(self, other: "SeriesCoeffs") -> "SeriesCoeffs":
         if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("series have different truncation orders")
+            raise ContractError("series have different truncation orders")
         return SeriesCoeffs(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "SeriesCoeffs") -> "SeriesCoeffs":
         if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("series have different truncation orders")
+            raise ContractError("series have different truncation orders")
         return SeriesCoeffs(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def to_json(self) -> dict:
@@ -69,7 +70,7 @@ def expand_product(factors: Iterable[tuple[int, int]], N: int) -> SeriesCoeffs:
     c = [1] + [0] * N
     for sign, e in factors:
         if e < 1:
-            raise ValueError(f"exponent must be positive, got {e}")
+            raise InputError(f"exponent must be positive, got {e}")
         if e > N:
             continue
         if sign > 0:
@@ -117,7 +118,7 @@ def ones_series(N: int) -> SeriesCoeffs:
 def multiples_series(step: int, N: int) -> SeriesCoeffs:
     """sum_k q^(step*k), k >= 1: indicator of positive multiples."""
     if step < 1:
-        raise ValueError("step must be positive")
+        raise InputError("step must be positive")
     return SeriesCoeffs(tuple(1 if n and n % step == 0 else 0 for n in range(N + 1)))
 
 
@@ -183,7 +184,7 @@ def expand_E_series(which: str, N: int) -> SeriesCoeffs:
                 for t in range(0, room + 1):
                     acc[base + t] += prod[t]
     else:
-        raise ValueError(f"which must be E0, E1 or ED, got {which!r}")
+        raise InputError(f"which must be E0, E1 or ED, got {which!r}")
     return SeriesCoeffs(tuple(acc))
 
 

@@ -28,7 +28,7 @@ class UnknownSetError(InputError, KeyError):
     """No registered set has this name."""
 
 
-class EmptyWordError(ValueError):
+class EmptyWordError(InputError):
     """Cylinder words need at least one letter."""
 
 
@@ -137,14 +137,14 @@ def entry(name: str) -> RegistryEntry:
 def delta0_offset(d: int) -> SetPredicate:
     """Partitions with L2 + Llast exceeding L1 by exactly d (d >= 1)."""
     if d < 1:
-        raise ValueError("offset d must be >= 1")
+        raise InputError("offset d must be >= 1")
     return parse_predicate(f"dim >= 2 and L2 + Llast = L1 + {d}")
 
 
 def delta1_offset(d: int) -> SetPredicate:
     """Partitions with L1 exceeding L2 + Llast by exactly d (d >= 1)."""
     if d < 1:
-        raise ValueError("offset d must be >= 1")
+        raise InputError("offset d must be >= 1")
     return parse_predicate(f"dim >= 2 and L1 = L2 + Llast + {d}")
 
 
@@ -155,7 +155,7 @@ def gauss_set(d: int) -> SetPredicate:
     iterating the second branch d times lands there.
     """
     if d < 0:
-        raise ValueError("d must be >= 0")
+        raise InputError("d must be >= 0")
     return parse_predicate(
         f"dim >= 2 and L1 - L2 - {d}*Llast > 0 and L1 - L2 - {d + 1}*Llast < 0"
     )
@@ -254,7 +254,7 @@ def cylinder(word: Sequence[int]) -> SetPredicate:
         raise EmptyWordError("cylinder words need at least one letter")
     for letter in letters:
         if letter not in (0, 1):
-            raise ValueError(f"cylinder letters must be 0 or 1, got {letter!r}")
+            raise InputError(f"cylinder letters must be 0 or 1, got {letter!r}")
     k = len(letters)
     syms = {j: Sym("L", j + 1) for j in range(k + 1)}
     dim = LinExpr(((1, Sym("dim")),))

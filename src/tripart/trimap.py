@@ -26,7 +26,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, Partition, _above, _below
+from .core import (
+    _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, InputError, Partition, _above, _below,
+)
 
 
 class WrongBranchError(ContractError):
@@ -144,7 +146,7 @@ def apply_t1_inverse(p: Partition) -> Partition:
 def orbit(p: Partition, max_steps: int) -> Orbit:
     """Iterate the map until dimension one or the step budget runs out."""
     if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+        raise InputError("max_steps must be >= 0")
     steps: list[MapStep] = []
     current = p
     while len(steps) < max_steps and current.dimension >= 2:

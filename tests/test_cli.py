@@ -1,8 +1,10 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import ast
 import importlib
 import json
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,8 @@ from tripart import cli, core, dsl, enumeration, identities, realmap, sets, trim
 from tripart.core import ContractError, InputError
 
 CMD = [sys.executable, "-m", "tripart.cli"]
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "verify_golden.json"
 
 
@@ -219,6 +222,12 @@ def test_usage_exit_codes():
         2, "error: route letters are 0, 1 or d; got '2'\n")
     assert run_cli("verify", "offset", "--d", "0", "--nmax", "5").returncode == 2
     assert run_cli("series", "L1 <", "--N", "5").returncode == 2
+    # only the commands that enumerate take --desk-ceiling
+    for args in (("map", "(5,4,2)x[1,1,1]"), ("orbit", "(3,1)x[1,1]"), ("sets", "list"),
+                 ("realmap", "orbit", "7/2,1")):
+        result = run_cli(*args, "--desk-ceiling", "5")
+        assert result.returncode == 2, args
+        assert "unrecognized arguments: --desk-ceiling 5" in result.stderr, args
 
 
 def test_verify_output_deterministic():
@@ -287,7 +296,6 @@ def test_every_library_error_has_an_exit_code():
         identities.BranchMismatchError: "certify reports it on stdout, exit 1",
         identities.NotInjectiveError: "certify reports it on stdout, exit 1",
         identities.NotOntoError: "certify reports it on stdout, exit 1",
-        sets.EmptyWordError: "library only: no command takes a cylinder word",
     }
     defined = []
     for info in pkgutil.iter_modules(tripart.__path__):
@@ -304,7 +312,7 @@ def test_every_library_error_has_an_exit_code():
     # the re-parented classes keep their builtin bases
     inputs = (core.PartitionError, dsl.DslError, enumeration.NonPositiveSizeError,
               enumeration.DeskCeilingError, realmap.BadRatioError, realmap.ConePointError,
-              identities.NonPositiveOffsetError, sets.UnknownSetError)
+              identities.NonPositiveOffsetError, sets.UnknownSetError, sets.EmptyWordError)
     contracts = (trimap.WrongBranchError, trimap.DimensionOneError, trimap.NotInM0Error,
                  trimap.NotInM1Error, realmap.OnDiagonalError)
     for cls in inputs + contracts:
@@ -313,6 +321,28 @@ def test_every_library_error_has_an_exit_code():
         assert issubclass(cls, ContractError) == (cls in contracts), cls
     assert issubclass(sets.UnknownSetError, KeyError)
     assert str(sets.UnknownSetError("Zeta")) == "'Zeta'"
+
+
+def test_no_raise_site_names_a_bare_builtin_error():
+    # every error tripart raises carries a class that decides its exit code
+    bare = []
+    for path in sorted(Path(tripart.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(target, ast.Name) and target.id in ("ValueError", "KeyError"):
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
+
+
+def test_readme_command_lines_parse():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("tripart ")]
+    assert len(lines) == 13
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_internal_fault_exit_code_and_traceback(monkeypatch, capsys):

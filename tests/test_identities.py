@@ -3,7 +3,7 @@
 import pytest
 
 from tripart import Branch, Partition, apply_t0, apply_t1, apply_td, builtin, parse_set_expression
-from tripart.enumeration import DeskCeilingError
+from tripart.enumeration import DeskCeilingError, filter_partitions
 from tripart.identities import (
     BranchMismatchError,
     NonPositiveOffsetError,
@@ -361,6 +361,20 @@ def test_odd_family_routes():
         # no diagonal branch exists here: an all-odd partition cannot
         # satisfy L1 = L2 + Llast
         assert count_set(o & builtin("DeltaD"), n) == 0
+
+
+def test_arithmetic_columns_count_explicit_families():
+    # the partitions no route pairs are the ones the arithmetic columns
+    # count: 1 + [3|n] for D, the odd divisors of n for O
+    unpaired_d = parse_set_expression("D and (dim = 1 or (DeltaD and dim = 2))")
+    dim_one_o = parse_set_expression("O and dim = 1")
+    for n in range(1, 41):
+        expected = [P(f"({n})x[1]")]
+        if n % 3 == 0:
+            expected.append(P(f"({2 * n // 3},{n // 3})x[1,1]"))
+        assert list(filter_partitions(n, unpaired_d)) == expected, n
+        assert set(filter_partitions(n, dim_one_o)) == {
+            P(f"({d})x[{n // d}]") for d in range(1, n + 1, 2) if n % d == 0}, n
 
 
 # --- failure paths of the arithmetic relations ----------------------------
