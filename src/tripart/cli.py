@@ -1,13 +1,22 @@
 """Command-line surface: enumeration, mapping, sets, verification, series.
 
 Output is deterministic: fixed column and row order, no timestamps.
-Each command returns its exit code and its output, and ``main`` writes
-the output once.  Exit codes: 0 success, 1 a requested verification
-failed, 2 usage error (any ``InputError``), 3 an operation was applied
-outside its contract (any ``ContractError``, for example forcing the
-wrong branch of the map), 4 an internal fault (a bug), reported with
-its traceback on stderr.  The class of an error, not this module,
-decides between 2 and 3.
+Each command returns its exit code and its output, either one string
+or an iterable of text chunks, and ``main`` is the one writer: it
+writes the chunks to stdout or ``--out`` as they come.  Only rendering
+is lazy; every check, the parse of ``--filter`` and the enumeration run
+before the first byte, and before ``--out`` is opened.  ``enumerate``
+text and CSV leave in batches of ``_BATCH`` lines, one write each.  A
+reader that closes stdout early (``tripart enumerate 40 | head -1``) is
+not a fault: the rest of the output is dropped and the command's own
+exit code stands, with nothing on stderr.
+
+Exit codes: 0 success, 1 a requested verification failed, 2 usage
+error (any ``InputError``), 3 an operation was applied outside its
+contract (any ``ContractError``, for example forcing the wrong branch
+of the map), 4 an internal fault (a bug), reported with its traceback
+on stderr.  The class of an error, not this module, decides between 2
+and 3.
 """
 
 from __future__ import annotations
@@ -16,8 +25,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import identities, qseries, realmap, sets, trimap
 from .core import ContractError, InputError, Partition
@@ -38,29 +49,59 @@ CONTRACT_VIOLATION = 3
 INTERNAL_ERROR = 4
 
 
-def _emit(text: str, out: str | None) -> None:
+# Lines per chunk of streamed output.  Each chunk is one write, and with
+# PYTHONUNBUFFERED set each write is one pipe write, so writing line by
+# line would cost a system call per partition.
+_BATCH = 2048
+
+
+def _emit(output, out: str | None) -> None:
+    """Write a command's output, a string or an iterable of chunks."""
+    chunks = (output,) if isinstance(output, str) else output
     if out:
         try:
             fh = open(out, "w", encoding="utf-8")
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc.strerror}") from None
         with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+        return
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; point stdout at devnull so that the flush
+        # at exit drops what is still buffered instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv(header, rows) -> str:
-    """CSV text of a header row and then ``rows``, read lazily."""
+def _lines(items):
+    """``str`` of each item on its own line, in chunks of ``_BATCH`` lines."""
+    items = iter(items)
+    while batch := list(islice(items, _BATCH)):
+        yield "\n".join(map(str, batch)) + "\n"
+
+
+def _csv(header, rows):
+    """CSV text of a header row and then ``rows``, in chunks of ``_BATCH`` rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    rows = iter(rows)
+    while True:
+        writer.writerows(islice(rows, _BATCH))
+        chunk = buf.getvalue()
+        if not chunk:
+            return
+        yield chunk
+        buf.seek(0)
+        buf.truncate()
 
 
 def _resolve_predicate(text: str) -> SetPredicate:
@@ -109,12 +150,12 @@ def _render_report_text(report: CountReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_report_csv(report: CountReport) -> str:
+def _render_report_csv(report: CountReport):
     return _csv(["n", *report.columns],
                 ([report.n_lo + offset, *row] for offset, row in enumerate(report.rows)))
 
 
-def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str) -> str:
+def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str):
     if fmt == "json":
         return _json({"name": name, **series.to_json()})
     if fmt == "csv":
@@ -124,9 +165,10 @@ def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- subcommands: each returns (exit code, output text) -------------------
+# --- subcommands: each returns (exit code, output) -------------------------
+# The output is a string or an iterable of text chunks; see _emit.
 
-def _cmd_enumerate(args) -> tuple[int, str]:
+def _cmd_enumerate(args):
     _check_ceiling(args.n, args.desk_ceiling)
     if args.filter:
         pred = _resolve_predicate(args.filter)
@@ -141,7 +183,7 @@ def _cmd_enumerate(args) -> tuple[int, str]:
         })
     if args.format == "csv":
         return 0, _csv(("partition",), ((str(p),) for p in listing))
-    return 0, "".join(f"{p}\n" for p in listing)
+    return 0, _lines(listing)
 
 
 _BRANCHES = {
@@ -241,25 +283,30 @@ _VERIFIERS = {
 }
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+# the theorems that read --d
+_OFFSET_THEOREMS = ("offset", "gauss")
+
+
+def _cmd_verify(args):
     _check_ceiling(args.nmax, args.desk_ceiling)
     name = args.theorem
     if name != "equicount" and args.args:
         raise InputError(f"verify {name} takes no positional set arguments")
     if name not in _VERIFIERS:
         raise InputError(f"unknown theorem {name!r}")
+    if args.d is None:
+        args.d = 1
+    elif name not in _OFFSET_THEOREMS:
+        raise InputError(f"verify {name} takes no --d; only offset and gauss read it")
     reports = _VERIFIERS[name](args)
     if args.format == "json":
-        text = _json([{"name": label, **report.to_json()} for label, report in reports])
+        output = _json([{"name": label, **report.to_json()} for label, report in reports])
     elif args.format == "csv":
-        text = "".join(_render_report_csv(report) for _, report in reports)
+        output = chain.from_iterable(_render_report_csv(report) for _, report in reports)
     else:
-        chunks = []
-        for label, report in reports:
-            chunks.append(f"== {label} (n <= {args.nmax}) ==\n"
-                          + _render_report_text(report))
-        text = "\n".join(chunks)
-    return (0 if all(report.passed for _, report in reports) else VERIFY_FAILURE), text
+        output = "\n".join(f"== {label} (n <= {args.nmax}) ==\n" + _render_report_text(report)
+                           for label, report in reports)
+    return (0 if all(report.passed for _, report in reports) else VERIFY_FAILURE), output
 
 
 def _cmd_certify(args) -> tuple[int, str]:
@@ -282,7 +329,7 @@ def _cmd_certify(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_series(args) -> tuple[int, str]:
+def _cmd_series(args):
     _check_ceiling(args.N, args.desk_ceiling)
     name = args.series
     if name == "P":
@@ -379,7 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         " | distinct | odd | euler | equicount A B")
     p.add_argument("args", nargs="*", default=[])
     p.add_argument("--nmax", type=_int_at_least(1), default=40)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, default=None,
+                   help="the offset d of offset and gauss (default 1); no other theorem takes it")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("certify", parents=[sized],
@@ -416,9 +464,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"sets {args.action} needs a set name")
         if args.action == "eval" and args.partition is None:
             parser.error("sets eval needs a partition literal")
+        # list reads no positional and show reads only the name
+        unread = {"list": (args.name, args.partition), "show": (args.partition,)}
+        extra = [v for v in unread.get(args.action, ()) if v is not None]
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     try:
-        code, text = args.fn(args)
-        _emit(text, args.out)
+        code, output = args.fn(args)
+        _emit(output, args.out)
         return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,6 +104,21 @@ def _above(xs):
     return (xs[0] - xs[-1],) + xs[1:]
 
 
+class _TextTemplates(dict):
+    """Dimension m -> ``"(%s,...)x[%s,...]"`` with m slots in each bracket.
+
+    Filling one template takes well under half the time of joining the
+    parts and multiplicities, and ``%s`` formats an int exactly as
+    ``str`` does.
+    """
+
+    def __missing__(self, m: int) -> str:
+        template = self[m] = "({0})x[{0}]".format(",".join(["%s"] * m))
+        return template
+
+
+_TEXT_TEMPLATES = _TextTemplates()
+
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 
 
@@ -220,10 +235,7 @@ class Partition:
         return {"parts": list(self.parts), "mults": list(self.mults)}
 
     def __str__(self) -> str:
-        return "({})x[{}]".format(
-            ",".join(str(v) for v in self.parts),
-            ",".join(str(k) for k in self.mults),
-        )
+        return _TEXT_TEMPLATES[len(self.parts)] % (self.parts + self.mults)
 
     def __repr__(self) -> str:
         return f"Partition.from_text({str(self)!r})"

@@ -1,13 +1,17 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import ast
+import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tripart
 from tripart import cli, core, dsl, enumeration, identities, realmap, sets, trimap
@@ -63,6 +67,72 @@ def test_enumerate_ceiling():
     assert result.returncode == 2
     result = run_cli("enumerate", "61", "--desk-ceiling", "61", "--format", "csv")
     assert result.returncode == 0
+
+
+def _digest(data: bytes) -> tuple[int, str]:
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+def test_enumerate_golden_output(capsys, tmp_path):
+    # text, csv and json, with and without --filter, at n = 1 and at n = 30
+    # (5,604 lines, more than one batch); to stdout and through --out; the
+    # fixture holds the length and sha256 of each output before streaming
+    cases = json.loads((FIXTURES / "enumerate_golden.json").read_text(encoding="utf-8"))
+    assert len(cases) == 12
+    target = tmp_path / "out.txt"
+    for case in cases:
+        want = (case["exit"], "", (case["bytes"], case["sha256"]))
+        code = cli.main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, err, _digest(out.encode("utf-8"))) == want, case["argv"]
+        code = cli.main(case["argv"] + ["--out", str(target)])
+        out, err = capsys.readouterr()
+        assert out == "", case["argv"]
+        assert (code, err, _digest(target.read_bytes())) == want, case["argv"]
+
+
+class _CountingStdout:
+    """A stdout that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_enumerate_streams_in_batches(monkeypatch):
+    # p(30) = 5,604 lines leave in a few writes: never the whole listing
+    # in one, never a write per line
+    for fmt, lines in (("text", 5604), ("csv", 5605)):
+        fake = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", fake)
+        assert cli.main(["enumerate", "30", "--format", fmt]) == 0
+        assert 1 < len(fake.writes) <= lines // 1000, fmt
+        assert "".join(fake.writes).count("\n") == lines, fmt
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_reader_is_not_a_fault(fmt, unbuffered):
+    # like `tripart enumerate 40 | head -n 1`: the reader takes one line and
+    # closes the pipe while most of the output is still to come
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "tripart", "enumerate", "40", "--format", fmt],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+    assert first == (b"(40)x[1]\n" if fmt == "text" else b"partition\n")
 
 
 def test_certify_honours_desk_ceiling():
@@ -228,6 +298,38 @@ def test_usage_exit_codes():
         result = run_cli(*args, "--desk-ceiling", "5")
         assert result.returncode == 2, args
         assert "unrecognized arguments: --desk-ceiling 5" in result.stderr, args
+
+
+def test_verify_d_only_for_offset_and_gauss(capsys):
+    # offset and gauss read --d, default 1; every other theorem refuses it
+    for name in ("offset", "gauss"):
+        assert cli.main(["verify", name, "--nmax", "6"]) == 0
+        default = capsys.readouterr()
+        assert cli.main(["verify", name, "--nmax", "6", "--d", "1"]) == 0
+        assert capsys.readouterr() == default
+        assert f"{name} d=1" in default.out
+    for name in ("euler", "delta-m", "distinct", "odd", "cylinder1", "cylinder2"):
+        assert cli.main(["verify", name, "--nmax", "3", "--d", "1"]) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "", name
+        assert err == f"error: verify {name} takes no --d; only offset and gauss read it\n"
+    assert cli.main(["verify", "equicount", "D", "O", "--nmax", "3", "--d", "5"]) == 2
+    assert "takes no --d" in capsys.readouterr().err
+
+
+def test_sets_rejects_positionals_it_does_not_read(capsys):
+    # list reads no positional and show reads only the set name
+    for argv, extra in ((["sets", "list", "E0"], "E0"),
+                        (["sets", "list", "E0", "(1)x[1]"], "E0 (1)x[1]"),
+                        (["sets", "show", "E0", "(1)x[1]"], "(1)x[1]")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.endswith(f"tripart: error: unrecognized arguments: {extra}\n"), argv
+    assert cli.main(["sets", "show", "E0"]) == 0
+    assert capsys.readouterr().out.startswith("E0: ")
 
 
 def test_verify_output_deterministic():

@@ -1,7 +1,7 @@
 """Partition construction, normalization, size, dimension, classification."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from tripart import (
     EmptyPartitionError,
@@ -134,6 +134,17 @@ def test_text_form_rejects_garbage():
 
 @given(partitions())
 def test_text_round_trip_random(p):
+    assert Partition.from_text(str(p)) == p
+
+
+@given(st.one_of(partitions(), partitions(max_part=60, max_len=24),
+                 partitions(max_part=10**6, max_len=16)))
+def test_text_form_is_the_joined_parts_and_mults(p):
+    # the per-dimension template gives exactly the text of joining str()
+    # of each part and each multiplicity, in dimensions 1 to 24
+    text = "({})x[{}]".format(",".join(str(v) for v in p.parts),
+                              ",".join(str(k) for k in p.mults))
+    assert str(p) == text
     assert Partition.from_text(str(p)) == p
 
 
