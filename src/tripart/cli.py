@@ -7,9 +7,9 @@ writes the chunks to stdout or ``--out`` as they come.  Only rendering
 is lazy; every check, the parse of ``--filter`` and the enumeration run
 before the first byte, and before ``--out`` is opened.  ``enumerate``
 text and CSV leave in batches of ``_BATCH`` lines, one write each.  A
-reader that closes stdout early (``tripart enumerate 40 | head -1``) is
-not a fault: the rest of the output is dropped and the command's own
-exit code stands, with nothing on stderr.
+reader that closes stdout or an ``--out`` FIFO early (``tripart
+enumerate 40 | head -1``) is not a fault: the rest of the output is
+dropped and the command's own exit code stands, with nothing on stderr.
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage
 error (any ``InputError``), 3 an operation was applied outside its
@@ -58,23 +58,22 @@ _BATCH = 2048
 def _emit(output, out: str | None) -> None:
     """Write a command's output, a string or an iterable of chunks."""
     chunks = (output,) if isinstance(output, str) else output
-    if out:
-        try:
-            fh = open(out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc.strerror}") from None
-        with fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        return
+    try:
+        fh = open(out, "w", encoding="utf-8") if out else sys.stdout
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from None
     try:
         for chunk in chunks:
-            sys.stdout.write(chunk)
-        sys.stdout.flush()
+            fh.write(chunk)
+        fh.flush()
     except BrokenPipeError:
-        # The reader has gone; point stdout at devnull so that the flush
-        # at exit drops what is still buffered instead of failing again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader has gone; point the stream at devnull so that the
+        # flush at close or exit drops what is still buffered instead of
+        # failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+    finally:
+        if out:
+            fh.close()
 
 
 def _json(payload) -> str:
@@ -170,7 +169,7 @@ def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str):
 
 def _cmd_enumerate(args):
     _check_ceiling(args.n, args.desk_ceiling)
-    if args.filter:
+    if args.filter is not None:
         pred = _resolve_predicate(args.filter)
         listing = filter_partitions(args.n, pred, ceiling=args.desk_ceiling)
     else:

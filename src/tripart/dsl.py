@@ -29,23 +29,19 @@ from .core import InputError, Partition
 
 
 class DslError(InputError):
-    """Base class for predicate-language errors."""
-
-
-class DslSyntaxError(DslError):
-    """Malformed predicate text; carries the character position."""
+    """Base class for predicate-language errors; carries the character position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class DslSyntaxError(DslError):
+    """Malformed predicate text."""
 
 
 class UnknownSymbolError(DslError):
     """An identifier is not a recognized symbol."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 # --- AST -------------------------------------------------------------

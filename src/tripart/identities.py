@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition
-from .dsl import SetPredicate, compile_columns, parse_predicate, raw_test
+from .dsl import SetPredicate, compile_columns, parse_predicate
 from .enumeration import filter_partitions, iter_raw
-from .sets import builtin, gauss_set
+from .sets import builtin, delta0_offset, delta1_offset, gauss_set
 from . import trimap
 
 
@@ -111,22 +111,6 @@ def _unpaired_distinct_count(n: int) -> int:
     return 1 + (n % 3 == 0)
 
 
-def _one_sided(a, b, n: int):
-    """Members of a but not b, and of b but not a, at n, from one pass.
-
-    Set predicates are tested on the raw tuples; only the partitions
-    named in the result are wrapped.
-    """
-    only_a, only_b = [], []
-    test_a, test_b = raw_test(a), raw_test(b)
-    for parts, mults in iter_raw(n):
-        m = len(parts)
-        in_a, in_b = bool(test_a(parts, mults, m)), bool(test_b(parts, mults, m))
-        if in_a != in_b:
-            (only_a if in_a else only_b).append(Partition._wrap(parts, mults))
-    return tuple(only_a), tuple(only_b)
-
-
 def _equal(columns, i: int, j: int):
     """The relation column i = column j, labelled by the column names."""
     return (f"{columns[i]} = {columns[j]}", i, (j,))
@@ -155,7 +139,12 @@ def _check(preds, columns, relations, n_max: int, arithmetic=(), notes=None) -> 
             if row[lhs] != total:
                 only_lhs = only_rhs = ()
                 if len(rhs) == 1 and max(lhs, rhs[0]) < len(preds):
-                    only_lhs, only_rhs = _one_sided(preds[lhs], preds[rhs[0]], n)
+                    # n may lie above the desk ceiling when the caller raised it
+                    left = filter_partitions(n, preds[lhs], ceiling=n).items
+                    right = filter_partitions(n, preds[rhs[0]], ceiling=n).items
+                    left_set, right_set = set(left), set(right)
+                    only_lhs = tuple(p for p in left if p not in right_set)
+                    only_rhs = tuple(p for p in right if p not in left_set)
                 checks.append(EqualityCheck(
                     label, passed=False, first_failure=n, lhs_count=row[lhs],
                     rhs_count=total, only_lhs=only_lhs, only_rhs=only_rhs,
@@ -192,8 +181,6 @@ def verify_offset_theorem(d: int, n_max: int) -> CountReport:
     """
     if d < 1:
         raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
-    from .sets import delta0_offset, delta1_offset
-
     preds = [delta0_offset(d), _offset_image0(d), delta1_offset(d), _offset_image1(d)]
     columns = (
         f"Delta0Off({d})", f"M0&gap({d})",

@@ -48,16 +48,18 @@ class SeriesCoeffs:
         return {"order": self.order, "coeffs": list(self.coeffs)}
 
 
+def _mul_binomial(poly: list[int], e: int, N: int) -> None:
+    # poly *= (1 + q^e), in place
+    for j in range(N, e - 1, -1):
+        poly[j] += poly[j - e]
+
+
 def expand_partition_gf(N: int) -> SeriesCoeffs:
     """Coefficients of prod_m 1/(1-q^m): c_n = p(n), with c_0 = 1.
 
     Pure product expansion, independent of the enumerator.
     """
-    c = [1] + [0] * N
-    for m in range(1, N + 1):
-        for j in range(m, N + 1):
-            c[j] += c[j - m]
-    return SeriesCoeffs(tuple(c))
+    return expand_product(((-1, m) for m in range(1, N + 1)), N)
 
 
 def expand_product(factors: Iterable[tuple[int, int]], N: int) -> SeriesCoeffs:
@@ -74,8 +76,7 @@ def expand_product(factors: Iterable[tuple[int, int]], N: int) -> SeriesCoeffs:
         if e > N:
             continue
         if sign > 0:
-            for j in range(N, e - 1, -1):
-                c[j] += c[j - e]
+            _mul_binomial(c, e, N)
         else:
             for j in range(e, N + 1):
                 c[j] += c[j - e]
@@ -92,22 +93,23 @@ def odd_parts_product(N: int) -> SeriesCoeffs:
     return expand_product(((-1, k) for k in range(1, N + 1, 2)), N)
 
 
-def divisor_series(N: int) -> SeriesCoeffs:
-    """c_n = number of divisors of n (c_0 = 0); sum_m q^m/(1-q^m)."""
+def _divisor_sieve(N: int, step: int) -> SeriesCoeffs:
+    # c_n = number of divisors of n among 1, 1 + step, 1 + 2*step, ...
     c = [0] * (N + 1)
-    for m in range(1, N + 1):
+    for m in range(1, N + 1, step):
         for j in range(m, N + 1, m):
             c[j] += 1
     return SeriesCoeffs(tuple(c))
+
+
+def divisor_series(N: int) -> SeriesCoeffs:
+    """c_n = number of divisors of n (c_0 = 0); sum_m q^m/(1-q^m)."""
+    return _divisor_sieve(N, 1)
 
 
 def odd_divisor_series(N: int) -> SeriesCoeffs:
     """c_n = number of odd divisors of n; sum_k q^(2k+1)/(1-q^(2k+1))."""
-    c = [0] * (N + 1)
-    for m in range(1, N + 1, 2):
-        for j in range(m, N + 1, m):
-            c[j] += 1
-    return SeriesCoeffs(tuple(c))
+    return _divisor_sieve(N, 2)
 
 
 def ones_series(N: int) -> SeriesCoeffs:
@@ -136,12 +138,6 @@ def set_series_many(preds: Sequence, N: int) -> list[SeriesCoeffs]:
     return [SeriesCoeffs(col) for col in zip(*rows)]
 
 
-def _mul_binomial(poly: list[int], e: int, N: int) -> None:
-    # poly *= (1 + q^e), in place
-    for j in range(N, e - 1, -1):
-        poly[j] += poly[j - e]
-
-
 def expand_E_series(which: str, N: int) -> SeriesCoeffs:
     """Closed-form series for the three near-distinct families.
 
@@ -168,8 +164,7 @@ def expand_E_series(which: str, N: int) -> SeriesCoeffs:
             room = N - base
             prod = [1] + [0] * room
             for j in range(s + 1, room + 1):
-                for t in range(room, j - 1, -1):
-                    prod[t] += prod[t - j]
+                _mul_binomial(prod, j, room)
             for t in range(1, room + 1):
                 acc[base + t] += prod[t]
     elif which == "ED":
@@ -179,8 +174,7 @@ def expand_E_series(which: str, N: int) -> SeriesCoeffs:
                 room = N - base
                 prod = [1] + [0] * room
                 for j in range(s + 1, min(v - 1, room) + 1):
-                    for t in range(room, j - 1, -1):
-                        prod[t] += prod[t - j]
+                    _mul_binomial(prod, j, room)
                 for t in range(0, room + 1):
                     acc[base + t] += prod[t]
     else:

@@ -135,6 +135,29 @@ def test_closed_reader_is_not_a_fault(fmt, unbuffered):
     assert first == (b"(40)x[1]\n" if fmt == "text" else b"partition\n")
 
 
+def test_closed_fifo_reader_is_not_a_fault(tmp_path):
+    # like `tripart enumerate 40 --out FIFO` with `head -n 1 FIFO` reading:
+    # --out is written by the same loop as stdout and survives the reader
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; f = open(sys.argv[1], 'rb'); sys.stdout.buffer.write(f.readline())",
+         str(fifo)],
+        stdout=subprocess.PIPE)
+    writer = subprocess.Popen([sys.executable, "-m", "tripart", "enumerate", "40", "--out", str(fifo)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        out, err = writer.communicate(timeout=120)
+        first, _ = reader.communicate(timeout=120)
+    finally:
+        # neither side may outlive the test if the other never opens the FIFO
+        writer.kill()
+        reader.kill()
+    assert (writer.returncode, out, err) == (0, b"", b"")
+    assert first == b"(40)x[1]\n"
+
+
 def test_certify_honours_desk_ceiling():
     result = run_cli("certify", "Delta01", "T0Delta01", "0", "61", "--desk-ceiling", "61")
     assert result.returncode == 0
@@ -298,6 +321,17 @@ def test_usage_exit_codes():
         result = run_cli(*args, "--desk-ceiling", "5")
         assert result.returncode == 2, args
         assert "unrecognized arguments: --desk-ceiling 5" in result.stderr, args
+
+
+def test_empty_filter_is_a_usage_error(capsys):
+    # an empty --filter is refused like an empty series or certify set,
+    # not read as "no filter"
+    for argv in (["enumerate", "5", "--filter", ""], ["series", "", "--N", "5"],
+                 ["certify", "", "D", "0", "5"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: '' is neither a known set nor valid predicate text"), argv
 
 
 def test_verify_d_only_for_offset_and_gauss(capsys):

@@ -383,6 +383,7 @@ def test_arithmetic_columns_count_explicit_families():
 # the untouched relations of the chain still pass.
 
 import tripart.identities as identities_module
+import tripart.enumeration as enumeration_module
 from tripart.dsl import parse_predicate
 
 DISTINCT = "D = 1 + E0 + E1 + ED + [3|n]"
@@ -478,3 +479,13 @@ def test_equicount_counterexamples_with_a_plain_callable():
     assert check.only_lhs == tuple(p for p in members if a(p) and not b.member(p))
     assert check.only_rhs == tuple(p for p in members if b.member(p) and not a(p))
     assert check.only_lhs or check.only_rhs
+
+
+def test_counterexamples_above_the_desk_ceiling(monkeypatch):
+    # a raised ceiling lets a relation first fail above the default one;
+    # naming its counterexamples must not stop at that default
+    monkeypatch.setattr(enumeration_module, "DESK_CEILING", 2)
+    check = verify_equicount(builtin("Delta0"), builtin("Delta1"), 9).checks[0]
+    assert (check.first_failure, check.lhs_count, check.rhs_count) == (4, 0, 1)
+    assert check.only_lhs == ()
+    assert check.only_rhs == (P("(3,1)x[1,1]"),)
