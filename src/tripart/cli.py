@@ -12,7 +12,8 @@ enumerate 40 | head -1``) is not a fault: the rest of the output is
 dropped and the command's own exit code stands, with nothing on stderr.
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage
-error (any ``InputError``), 3 an operation was applied outside its
+error (any ``InputError``, including an ``--out`` path or a stdout that
+cannot be opened or written), 3 an operation was applied outside its
 contract (any ``ContractError``, for example forcing the wrong branch
 of the map), 4 an internal fault (a bug), reported with its traceback
 on stderr.  The class of an error, not this module, decides between 2
@@ -59,20 +60,23 @@ def _emit(output, out: str | None) -> None:
     """Write a command's output, a string or an iterable of chunks."""
     chunks = (output,) if isinstance(output, str) else output
     try:
-        fh = open(out, "w", encoding="utf-8") if out else sys.stdout
+        fh = open(out, "w", encoding="utf-8") if out is not None else sys.stdout
     except OSError as exc:
         raise InputError(f"cannot write {out}: {exc.strerror}") from None
     try:
         for chunk in chunks:
             fh.write(chunk)
         fh.flush()
-    except BrokenPipeError:
-        # The reader has gone; point the stream at devnull so that the
-        # flush at close or exit drops what is still buffered instead of
-        # failing again.
+    except OSError as exc:
+        # Point the stream at devnull so that the flush at close or exit
+        # drops what is still buffered instead of failing again.  A reader
+        # that has gone is not an error; a full disk is.
         os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            where = "stdout" if out is None else out
+            raise InputError(f"cannot write {where}: {exc.strerror}") from None
     finally:
-        if out:
+        if out is not None:
             fh.close()
 
 

@@ -21,9 +21,10 @@ also fuses several predicates into one counting sweep
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .core import InputError, Partition
 
@@ -50,8 +51,10 @@ class UnknownSymbolError(DslError):
 class Sym:
     """An indexed symbol: a part, a multiplicity, ``dim`` or the bound index.
 
-    ``index`` is a 1-based integer, "last", "secondlast", or "bound"
-    for the quantifier variable; it is None for kinds "dim" and "idx".
+    ``index`` is a positive integer counted from the front (1 is the
+    first part), a negative integer counted from the end (-1 is the
+    last, -2 the second to last), or "bound" for the quantifier
+    variable; it is None for kinds "dim" and "idx".
     """
 
     kind: str
@@ -112,14 +115,7 @@ Node = Lit | Cmp | Parity | Not | And | Or | Quant
 
 def _position(sym: Sym, m: int, i: int | None) -> int | None:
     idx = sym.index
-    if idx == "bound":
-        j = i
-    elif idx == "last":
-        j = m
-    elif idx == "secondlast":
-        j = m - 1
-    else:
-        j = idx
+    j = i if idx == "bound" else idx if idx > 0 else m + 1 + idx
     if j is None or j < 1 or j > m:
         return None
     return j - 1
@@ -148,11 +144,11 @@ def _lin_value(expr: LinExpr, L, K, m: int, i: int | None) -> int | None:
 
 
 _CMP = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
 }
 
 
@@ -191,17 +187,13 @@ def _emit_sym(sym: Sym) -> tuple[str | None, str]:
         return None, "m"
     if sym.kind == "idx":
         return None, "i"
-    seq = sym.kind
     idx = sym.index
     if idx == "bound":
-        return None, _BOUND_NAMES[seq]
-    if idx == "last":
-        return None, f"{seq}[-1]"
-    if idx == "secondlast":
-        return "m >= 2", f"{seq}[-2]"
-    if idx == 1:
-        return None, f"{seq}[0]"
-    return f"m >= {idx}", f"{seq}[{idx - 1}]"
+        return None, _BOUND_NAMES[sym.kind]
+    # a Python subscript counts from the end as a negative index does;
+    # only the first and the last position exist in every partition
+    guard = f"m >= {abs(idx)}" if abs(idx) > 1 else None
+    return guard, f"{sym.kind}[{idx - 1 if idx > 0 else idx}]"
 
 
 def _emit_lin(expr: LinExpr) -> tuple[list[str], str]:
@@ -340,6 +332,12 @@ def compile_columns(preds: Sequence) -> Callable[[Iterable], tuple[int, ...]]:
 
 # --- formatting --------------------------------------------------------
 
+# The words for symbol positions, read by the parser and printed back
+# by the formatter for the positions counted from the end.
+_POSITION_WORDS = {"first": 1, "last": -1, "secondlast": -2}
+_POSITION_NAMES = {idx: word for word, idx in _POSITION_WORDS.items() if idx < 0}
+
+
 def _format_sym(sym: Sym) -> str:
     if sym.kind == "dim":
         return "dim"
@@ -348,7 +346,7 @@ def _format_sym(sym: Sym) -> str:
     idx = sym.index
     if idx == "bound":
         return f"{sym.kind}[i]"
-    return f"{sym.kind}{idx}"
+    return f"{sym.kind}{_POSITION_NAMES.get(idx, idx)}"
 
 
 def _format_lin(expr: LinExpr) -> str:
@@ -460,7 +458,7 @@ _KEYWORDS = {
 
 _REL_OPS = {"<", "<=", "=", ">=", ">"}
 
-_SYM_RE = re.compile(r"^([LK])(\d+|last|secondlast|first)?$")
+_SYM_RE = re.compile(rf"^([LK])(\d+|{'|'.join(_POSITION_WORDS)})?$")
 
 
 def _flatten(cls, items):
@@ -504,97 +502,92 @@ class _Parser:
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def at(self, kind: str, *texts: str) -> bool:
+        """Whether the next token is of ``kind`` and, if given, one of ``texts``."""
+        tok = self.peek()
+        return tok is not None and tok[0] == kind and (not texts or tok[1] in texts)
+
+    def fail(self, message: str) -> NoReturn:
+        """Raise a syntax error at the next token, or at the end of the text."""
+        tok = self.peek()
+        raise DslSyntaxError(message, tok[2] if tok else len(self.text))
+
     def advance(self) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
-            raise DslSyntaxError("unexpected end of input", len(self.text))
+            self.fail("unexpected end of input")
         self.pos += 1
         return tok
 
     def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            where = tok[2] if tok else len(self.text)
-            raise DslSyntaxError(f"expected {op!r}", where)
+        if not self.at("op", op):
+            self.fail(f"expected {op!r}")
         self.pos += 1
-
-    def _at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "ident" and tok[1] == word
 
     def parse(self) -> Node:
         node = self.parse_or()
         tok = self.peek()
         if tok is not None:
-            raise DslSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
+            self.fail(f"unexpected trailing {tok[1]!r}")
         return node
 
-    def parse_or(self) -> Node:
-        items = [self.parse_and()]
-        while self._at_keyword("or"):
+    def _chain(self, word: str, cls, parse_item) -> Node:
+        items = [parse_item()]
+        while self.at("ident", word):
             self.advance()
-            items.append(self.parse_and())
-        return items[0] if len(items) == 1 else Or(_flatten(Or, items))
+            items.append(parse_item())
+        return items[0] if len(items) == 1 else cls(_flatten(cls, items))
+
+    def parse_or(self) -> Node:
+        return self._chain("or", Or, self.parse_and)
 
     def parse_and(self) -> Node:
-        items = [self.parse_not()]
-        while self._at_keyword("and"):
-            self.advance()
-            items.append(self.parse_not())
-        return items[0] if len(items) == 1 else And(_flatten(And, items))
+        return self._chain("and", And, self.parse_not)
 
     def parse_not(self) -> Node:
-        if self._at_keyword("not"):
+        if self.at("ident", "not"):
             self.advance()
             return Not(self.parse_not())
         return self.parse_atom()
 
     def parse_atom(self) -> Node:
-        tok = self.peek()
-        if tok is None:
-            raise DslSyntaxError("unexpected end of input", len(self.text))
-        kind, text, where = tok
-        if kind == "op" and text == "(":
+        if self.at("op", "("):
             self.advance()
             node = self.parse_or()
             self.expect_op(")")
             return node
-        if kind == "ident" and text in ("true", "false"):
-            self.advance()
-            return Lit(text == "true")
-        if kind == "ident" and text in ("odd", "even"):
-            self.advance()
+        if self.at("ident", "true", "false"):
+            return Lit(self.advance()[1] == "true")
+        if self.at("ident", "odd", "even"):
+            odd = self.advance()[1] == "odd"
             self.expect_op("(")
             sym = self.parse_sym()
             self.expect_op(")")
-            return Parity(sym, odd=(text == "odd"))
-        if kind == "ident" and text in ("forall", "exists"):
+            return Parity(sym, odd)
+        if self.at("ident", "forall", "exists"):
             return self.parse_quant()
-        if (
-            kind == "ident"
-            and self.resolve is not None
-            and text not in _KEYWORDS
-            and text != "dim"
-            and (self.bound is None or text != self.bound)
-            and _SYM_RE.match(text) is None
-        ):
-            return self.parse_named_set()
+        if self.resolve is not None and self.at("ident"):
+            text = self.peek()[1]
+            if (
+                text not in _KEYWORDS
+                and text != "dim"
+                and text != self.bound
+                and _SYM_RE.match(text) is None
+            ):
+                return self.parse_named_set()
         return self.parse_cmp()
 
     def parse_named_set(self) -> Node:
-        _, text, where = self.advance()
-        name = text
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "op" and nxt[1] == "(":
-            after = self.tokens[self.pos + 1: self.pos + 3]
-            if (
-                len(after) == 2
-                and after[0][0] == "int"
-                and after[1][0] == "op"
-                and after[1][1] == ")"
-            ):
-                self.pos += 3
-                name = f"{text}({after[0][1]})"
+        _, name, where = self.advance()
+        arg = self.tokens[self.pos + 1: self.pos + 3]
+        if (
+            self.at("op", "(")
+            and len(arg) == 2
+            and arg[0][0] == "int"
+            and arg[1][:2] == ("op", ")")
+        ):
+            self.pos += 3
+            name = f"{name}({arg[0][1]})"
         root = self.resolve(name)
         if root is None:
             raise UnknownSymbolError(f"unknown symbol or set name {name!r}", where)
@@ -617,87 +610,65 @@ class _Parser:
 
     def parse_cmp(self) -> Node:
         lhs = self.parse_sum()
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] not in _REL_OPS:
-            where = tok[2] if tok else len(self.text)
-            raise DslSyntaxError("expected a comparison operator", where)
+        if not self.at("op", *_REL_OPS):
+            self.fail("expected a comparison operator")
         op = self.advance()[1]
-        rhs = self.parse_sum()
-        return Cmp(lhs, op, rhs)
+        return Cmp(lhs, op, self.parse_sum())
 
     def parse_sum(self) -> LinExpr:
         terms: list[tuple[int, Sym]] = []
         const = 0
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok[0] == "op" and tok[1] in ("+", "-"):
-            sign = -1 if tok[1] == "-" else 1
-            self.advance()
         while True:
+            sign = 1
+            if self.at("op", "+", "-"):
+                sign = -1 if self.advance()[1] == "-" else 1
             coef, sym = self.parse_term()
             if sym is None:
                 const += sign * coef
             else:
                 terms.append((sign * coef, sym))
-            tok = self.peek()
-            if tok is not None and tok[0] == "op" and tok[1] in ("+", "-"):
-                sign = -1 if tok[1] == "-" else 1
-                self.advance()
-            else:
-                break
-        return LinExpr(tuple(terms), const)
+            if not self.at("op", "+", "-"):
+                return LinExpr(tuple(terms), const)
 
     def parse_term(self) -> tuple[int, Sym | None]:
-        tok = self.peek()
-        if tok is None:
-            raise DslSyntaxError("unexpected end of input", len(self.text))
-        if tok[0] == "int":
+        if not self.at("int"):
+            return 1, self.parse_sym()
+        coef = int(self.advance()[1])
+        if self.at("op", "*"):
             self.advance()
-            coef = int(tok[1])
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "*":
-                self.advance()
-                return coef, self.parse_sym()
-            if nxt is not None and nxt[0] == "ident" and nxt[1] not in _KEYWORDS:
-                return coef, self.parse_sym()
+        elif not self.at("ident") or self.peek()[1] in _KEYWORDS:
             return coef, None
-        return 1, self.parse_sym()
+        return coef, self.parse_sym()
 
     def parse_sym(self) -> Sym:
-        tok = self.advance()
-        kind, text, where = tok
+        kind, text, where = self.advance()
         if kind != "ident":
             raise DslSyntaxError(f"expected a symbol, got {text!r}", where)
         if text in _KEYWORDS:
             raise DslSyntaxError(f"unexpected keyword {text!r}", where)
         if text == "dim":
             return Sym("dim")
-        if self.bound is not None and text == self.bound:
+        if text == self.bound:
             return Sym("idx")
         m = _SYM_RE.match(text)
         if m is None:
             raise UnknownSymbolError(f"unknown symbol {text!r}", where)
         base, rest = m.group(1), m.group(2)
         if rest is None:
-            nxt = self.peek()
-            if nxt is None or nxt[0] != "op" or nxt[1] != "[":
+            if not self.at("op", "["):
                 raise UnknownSymbolError(
                     f"bare {base!r} needs an index like {base}1 or {base}[i]", where
                 )
             self.advance()
             var = self.advance()
-            if var[0] != "ident" or self.bound is None or var[1] != self.bound:
+            if var[0] != "ident" or var[1] != self.bound:
                 raise UnknownSymbolError(
                     f"index variable {var[1]!r} is not bound by a quantifier", var[2]
                 )
             self.expect_op("]")
             return Sym(base, "bound")
-        if rest == "first":
-            return Sym(base, 1)
-        if rest in ("last", "secondlast"):
-            return Sym(base, rest)
-        idx = int(rest)
-        if idx < 1:
+        idx = _POSITION_WORDS.get(rest) or int(rest)
+        if idx == 0:
             raise DslSyntaxError("indices start at 1", where)
         return Sym(base, idx)
 

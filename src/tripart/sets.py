@@ -261,6 +261,6 @@ def cylinder(word: Sequence[int]) -> SetPredicate:
     pieces = [And((Cmp(dim, "=", LinExpr((), m)),) + _cone(letters, m, syms))
               for m in range(2, k + 1)]
     # a dimension large enough that the tests read no later position
-    wide = _cone(letters, 2 * k + 2, syms | {2 * k + 1: Sym("L", "last")})
+    wide = _cone(letters, 2 * k + 2, syms | {2 * k + 1: Sym("L", -1)})
     pieces.append(And((Cmp(dim, ">=", LinExpr((), k + 1)),) + wide))
     return SetPredicate(pieces[0] if k == 1 else Or(tuple(pieces)))

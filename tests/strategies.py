@@ -19,7 +19,7 @@ def partitions(max_part=30, max_len=12):
 
 def _symbols(in_quantifier):
     fixed = st.builds(Sym, st.sampled_from("LK"),
-                      st.sampled_from((1, 2, 3, 4, "last", "secondlast")))
+                      st.sampled_from((1, 2, 3, 4, -1, -2)))
     options = [fixed, st.just(Sym("dim"))]
     if in_quantifier:
         # the bound index itself and the parts/multiplicities it points at

@@ -295,14 +295,30 @@ def test_out_flag(tmp_path):
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path):
-    for args in (
+    cases = [
         ("enumerate", "5", "--out", str(tmp_path / "missing" / "x.txt")),
         ("verify", "euler", "--nmax", "3", "--out", str(tmp_path)),
-    ):
+        # an empty path is a path that cannot be opened, not "no --out"
+        ("enumerate", "3", "--out", ""),
+    ]
+    if os.path.exists("/dev/full"):
+        # opens, then every write fails with "no space left on device"
+        cases.append(("enumerate", "5", "--out", "/dev/full"))
+    for args in cases:
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert result.stderr.startswith("error: cannot write "), args
         assert "Traceback" not in result.stderr, args
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error():
+    # like `tripart enumerate 5 > /dev/full`: one stderr line, exit 2
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(CMD + ["enumerate", "5"], stdout=full, stderr=subprocess.PIPE,
+                                text=True)
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write stdout: No space left on device\n")
 
 
 def test_usage_exit_codes():

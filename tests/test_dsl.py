@@ -60,6 +60,59 @@ def test_syntax_error_with_position():
         parse("")
 
 
+S, U = DslSyntaxError, UnknownSymbolError
+
+# (text, class, message, position) through parse_predicate, and the outcome
+# through parse_set_expression where the registry hook makes it differ
+PARSE_ERRORS = [
+    ("", S, "unexpected end of input", 0, None),
+    ("L1 <", S, "unexpected end of input", 4, None),
+    ("(L1 < 2", S, "expected ')'", 7, None),
+    ("L1 < 2)", S, "unexpected trailing ')'", 6, None),
+    ("L1 2", S, "expected a comparison operator", 3, None),
+    ("L1 # 2", S, "unexpected character '#'", 3, None),
+    ("forall i: forall j: K[j] = 1", S, "nested quantifiers are not supported", 10, None),
+    ("forall and: L1 = 1", S, "expected an index variable name", 7, None),
+    ("forall i L1 = 1", S, "expected ':'", 9, None),
+    ("forall i:", S, "unexpected end of input", 9, None),
+    ("K[i] = 1", U, "index variable 'i' is not bound by a quantifier", 2, None),
+    ("forall i: L[j] = 1", U, "index variable 'j' is not bound by a quantifier", 12, None),
+    ("L = 1", U, "bare 'L' needs an index like L1 or L[i]", 0, None),
+    ("L0 = 1", S, "indices start at 1", 0, None),
+    ("Lmiddle = 1", U, "unknown symbol 'Lmiddle'", 0,
+     (U, "unknown symbol or set name 'Lmiddle'", 0)),
+    ("odd(3)", S, "expected a symbol, got '3'", 4, None),
+    ("odd(L1", S, "expected ')'", 6, None),
+    ("L1 - -L2 > 0", S, "expected a symbol, got '-'", 5, None),
+    ("2 * and", S, "unexpected keyword 'and'", 4, None),
+    ("L1 < 2 and", S, "unexpected end of input", 10, None),
+    ("not", S, "unexpected end of input", 3, None),
+    ("true false", S, "unexpected trailing 'false'", 5, None),
+    ("dim", S, "expected a comparison operator", 3, None),
+    ("GaussG(x)", U, "unknown symbol 'GaussG'", 0,
+     (U, "unknown symbol or set name 'GaussG'", 0)),
+    ("GaussG(2", U, "unknown symbol 'GaussG'", 0,
+     (U, "unknown symbol or set name 'GaussG'", 0)),
+    ("D and", U, "unknown symbol 'D'", 0, (S, "unexpected end of input", 5)),
+    ("Zeta > 1", U, "unknown symbol 'Zeta'", 0,
+     (U, "unknown symbol or set name 'Zeta'", 0)),
+]
+
+
+@pytest.mark.parametrize("text, cls, message, position, in_sets", PARSE_ERRORS)
+def test_parse_error_outcomes(text, cls, message, position, in_sets):
+    from tripart.sets import parse_set_expression
+
+    routes = [(parse, (cls, message, position)),
+              (parse_set_expression, in_sets or (cls, message, position))]
+    for route, (want_cls, want_message, want_position) in routes:
+        with pytest.raises(want_cls) as err:
+            route(text)
+        assert type(err.value) is want_cls, route.__name__
+        assert str(err.value) == f"{want_message} (at position {want_position})", route.__name__
+        assert err.value.position == want_position, route.__name__
+
+
 def test_unknown_symbols():
     with pytest.raises(UnknownSymbolError):
         parse("Zeta > 1")
