@@ -6,10 +6,11 @@ or an iterable of text chunks, and ``main`` is the one writer: it
 writes the chunks to stdout or ``--out`` as they come.  Only rendering
 is lazy; every check, the parse of ``--filter`` and the enumeration run
 before the first byte, and before ``--out`` is opened.  ``enumerate``
-text and CSV leave in batches of ``_BATCH`` lines, one write each.  A
-reader that closes stdout or an ``--out`` FIFO early (``tripart
-enumerate 40 | head -1``) is not a fault: the rest of the output is
-dropped and the command's own exit code stands, with nothing on stderr.
+text and CSV leave in batches of ``_BATCH`` lines, one write each, and
+JSON in batches of ``_BATCH`` encoder pieces.  A reader that closes
+stdout or an ``--out`` FIFO early (``tripart enumerate 40 | head -1``)
+is not a fault: the rest of the output is dropped and the command's own
+exit code stands, with nothing on stderr.
 
 Exit codes: 0 success, 1 a requested verification failed, 2 usage
 error (any ``InputError``, including an ``--out`` path or a stdout that
@@ -42,7 +43,7 @@ from .identities import (
     NotOntoError,
 )
 from .realmap import ConePoint
-from .sets import UnknownSetError
+from .sets import SetParameterError, UnknownSetError
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -80,8 +81,13 @@ def _emit(output, out: str | None) -> None:
             fh.close()
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json(payload):
+    """``json.dumps(payload, indent=2)`` and a newline, in chunks of
+    ``_BATCH`` encoder pieces; the payload is built before the first one."""
+    pieces = json.JSONEncoder(indent=2).iterencode(payload)
+    while chunk := "".join(islice(pieces, _BATCH)):
+        yield chunk
+    yield "\n"
 
 
 def _lines(items):
@@ -198,7 +204,7 @@ _BRANCHES = {
 }
 
 
-def _cmd_map(args) -> tuple[int, str]:
+def _cmd_map(args):
     p = Partition.from_text(args.partition)
     if args.branch == "auto":
         step = trimap.apply_t(p)
@@ -211,7 +217,7 @@ def _cmd_map(args) -> tuple[int, str]:
     return 0, f"{p}  branch {branch}  ->  {image}\n"
 
 
-def _cmd_orbit(args) -> tuple[int, str]:
+def _cmd_orbit(args):
     result = trimap.orbit(Partition.from_text(args.partition), args.steps)
     if args.format == "json":
         return 0, _json({
@@ -228,7 +234,7 @@ def _cmd_orbit(args) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_sets(args) -> tuple[int, str]:
+def _cmd_sets(args):
     if args.action == "list":
         if args.format == "json":
             return 0, _json(sets.registry_json())
@@ -245,6 +251,8 @@ def _cmd_sets(args) -> tuple[int, str]:
     if args.action == "show":
         try:
             pred = sets.builtin(args.name)
+        except SetParameterError:
+            raise  # it names its reason
         except UnknownSetError:
             raise InputError(f"unknown set {args.name!r}")
         return 0, f"{args.name}: {pred.source()}\n"
@@ -312,7 +320,7 @@ def _cmd_verify(args):
     return (0 if all(report.passed for _, report in reports) else VERIFY_FAILURE), output
 
 
-def _cmd_certify(args) -> tuple[int, str]:
+def _cmd_certify(args):
     _check_ceiling(args.n, args.desk_ceiling)
     domain = _resolve_predicate(args.domain)
     codomain = _resolve_predicate(args.codomain)
@@ -347,7 +355,7 @@ def _cmd_series(args):
     return 0, _render_series(name, series, args.format)
 
 
-def _cmd_realmap(args) -> tuple[int, str]:
+def _cmd_realmap(args):
     try:
         coords = tuple(Fraction(part) for part in args.point.split(","))
         point = ConePoint(coords)

@@ -122,13 +122,15 @@ _TEXT_TEMPLATES = _TextTemplates()
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A partition as strictly decreasing parts with positive multiplicities.
 
     Construction validates; it never sorts or merges silently.  Use
     :meth:`from_weak_sequence` to normalize a plain non-increasing list
-    of parts with repeats.
+    of parts with repeats.  Instances have slots and no ``__dict__``:
+    a listing of p(60) partitions keeps nearly a million of them, and
+    the two tuples are all that one holds.
     """
 
     parts: tuple[int, ...]

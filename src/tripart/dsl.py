@@ -496,7 +496,9 @@ class _Parser:
         self.pos = 0
         self.bound: str | None = None
         # optional hook mapping a set name to an AST root, so callers
-        # can splice registered sets into predicate text
+        # can splice registered sets into predicate text; it returns None
+        # for a name it does not know and raises InputError for a name it
+        # knows but refuses
         self.resolve = resolve
 
     def peek(self) -> tuple[str, str, int] | None:
@@ -588,7 +590,10 @@ class _Parser:
         ):
             self.pos += 3
             name = f"{name}({arg[0][1]})"
-        root = self.resolve(name)
+        try:
+            root = self.resolve(name)
+        except InputError as exc:
+            raise UnknownSymbolError(str(exc), where) from None
         if root is None:
             raise UnknownSymbolError(f"unknown symbol or set name {name!r}", where)
         return root

@@ -28,6 +28,14 @@ class UnknownSetError(InputError, KeyError):
     """No registered set has this name."""
 
 
+class SetParameterError(UnknownSetError):
+    """A parameterized family name whose parameter is out of range, like ``GaussG(0)``."""
+
+    def __str__(self) -> str:
+        # the reason itself, not the quoted key a KeyError prints
+        return self.args[0]
+
+
 class EmptyWordError(InputError):
     """Cylinder words need at least one letter."""
 
@@ -174,7 +182,7 @@ def builtin(name: str) -> SetPredicate:
             raise UnknownSetError(name)
         family, d = m.group(1), int(m.group(2))
         if d < 1:
-            raise UnknownSetError(f"{name} (parameter must be >= 1)")
+            raise SetParameterError(f"set {name}: parameter must be >= 1")
         if family == "Delta0Off":
             pred = delta0_offset(d)
         elif family == "Delta1Off":
@@ -190,13 +198,14 @@ def parse_set_expression(text: str) -> SetPredicate:
 
     ``"D and Delta0"`` or ``"GaussG(2) and K1 = 1"`` work here; plain
     :func:`tripart.dsl.parse_predicate` knows nothing about the registry.
+    A name that is not registered is an unknown symbol; a family name
+    with a bad parameter, like ``GaussG(0)``, keeps builtin's reason.
     """
 
     def resolve(name: str):
-        try:
-            return builtin(name).root
-        except UnknownSetError:
+        if name not in _REGISTRY and _PARAM_RE.match(name) is None:
             return None
+        return builtin(name).root
 
     return SetPredicate(_Parser(text, resolve=resolve).parse())
 

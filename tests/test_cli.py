@@ -515,3 +515,36 @@ def test_package_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("result: pass\n")
+
+
+def test_enumerate_json_streams_the_bytes_of_json_dumps(monkeypatch, capsys):
+    # a small batch so that every listing leaves in many chunks
+    monkeypatch.setattr(cli, "_BATCH", 7)
+    delta1 = sets.builtin("Delta1")
+    for n in range(1, 13):
+        for extra, listing in (([], enumeration.partitions_of(n)),
+                               (["--filter", "Delta1"], enumeration.filter_partitions(n, delta1))):
+            payload = {"n": n, "count": len(listing), "items": [p.to_json() for p in listing]}
+            assert cli.main(["enumerate", str(n), "--format", "json", *extra]) == 0
+            out, err = capsys.readouterr()
+            assert (out, err) == (json.dumps(payload, indent=2) + "\n", "")
+            chunks = list(cli._json(payload))
+            assert chunks[-1] == "\n" and "".join(chunks) == out
+            assert len(chunks) > 2 or len(listing) == 0
+
+
+def test_set_parameter_errors_keep_their_reason(capsys):
+    reason = "set {}: parameter must be >= 1"
+    for name in ("GaussG(0)", "Delta0Off(0)", "Delta1Off(0)"):
+        for argv in (["enumerate", "5", "--filter", name],
+                     ["enumerate", "5", "--filter", f"D and {name}"],
+                     ["sets", "eval", name, "(3)x[1]"],
+                     ["sets", "show", name]):
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and reason.format(name) in err, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+    # a name that is not registered at all is still an unknown symbol
+    for text, name in (("Zeta", "Zeta"), ("Zeta(0)", "Zeta(0)"), ("GaussG(x)", "GaussG")):
+        assert cli.main(["enumerate", "5", "--filter", text]) == 2
+        assert f"unknown symbol or set name {name!r}" in capsys.readouterr().err

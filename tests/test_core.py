@@ -1,5 +1,9 @@
 """Partition construction, normalization, size, dimension, classification."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -159,3 +163,33 @@ def test_partitions_hashable_and_frozen():
     assert len({p, Partition((3, 1), (1, 2))}) == 1
     with pytest.raises(AttributeError):
         p.parts = (2,)
+
+
+def test_partition_has_slots_and_no_instance_dict():
+    built = Partition((4, 2, 1), (2, 1, 1))
+    wrapped = next(p for p in iter_partitions(11) if p.mults == (2, 1, 1))
+    assert Partition.__slots__ == ("parts", "mults")
+    for p in (built, wrapped):
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.parts = (8,)
+        # CPython 3.10 to 3.13 raise TypeError here: the frozen __setattr__
+        # of a slotted dataclass calls super() with the class that slots
+        # replaced; either way nothing is stored
+        with pytest.raises((AttributeError, TypeError)):
+            p.note = "no room"
+    assert built == wrapped == Partition.from_text("(4,2,1)x[2,1,1]")
+    assert hash(built) == hash(wrapped)
+    assert built != Partition((4, 2, 1), (1, 2, 1))
+
+
+def test_slotted_partition_pickles_and_copies():
+    for p in iter_partitions(7):
+        copies = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.deepcopy(p), copy.copy(p)]
+        for other in copies:
+            assert type(other) is Partition
+            assert (other.parts, other.mults) == (p.parts, p.mults)
+            assert other == p and hash(other) == hash(p)
+            assert not hasattr(other, "__dict__")

@@ -1,5 +1,6 @@
 """Enumerator correctness: counts, completeness, order, filtering."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -174,3 +175,25 @@ def test_golden_fixture_eleven():
     assert len(set(fixture)) == 56
     assert all(p.size == 11 for p in fixture)
     assert set(fixture) == set(partitions_of(11))
+
+
+def test_listings_store_each_distinct_tuple_once():
+    # one object per distinct parts or mults value, across both fields
+    for listing in (partitions_of(30), filter_partitions(30, builtin("Delta1"))):
+        tuples = [t for p in listing for t in (p.parts, p.mults)]
+        assert len(listing) > 1000
+        assert len({id(t) for t in tuples}) == len(set(tuples))
+
+
+def test_listing_memory_per_partition():
+    # a slotted Partition and shared tuples hold p(36) = 17,977 partitions
+    # in about 87 bytes each (CPython 3.10 to 3.13); an instance dict and
+    # two fresh tuples per partition took 240 to 310
+    tracemalloc.start()
+    try:
+        listing = partitions_of(36)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(listing) == count_partitions(36)
+    assert held / len(listing) < 120

@@ -5,9 +5,11 @@ import itertools
 import pytest
 
 from tripart import Partition, builtin, cylinder, gauss_set, parse_set_expression
+from tripart.dsl import UnknownSymbolError
 from tripart.enumeration import iter_partitions
 from tripart.sets import (
     EmptyWordError,
+    SetParameterError,
     UnknownSetError,
     delta0_offset,
     delta1_offset,
@@ -213,3 +215,15 @@ def test_registry_json_shape():
     assert [row["name"] for row in info] == names()
     for row in info:
         assert set(row) == {"name", "dim2", "dim3", "uniform", "note"}
+
+
+def test_bad_family_parameter_keeps_its_reason():
+    with pytest.raises(SetParameterError) as caught:
+        builtin("Delta1Off(0)")
+    assert str(caught.value) == "set Delta1Off(0): parameter must be >= 1"
+    with pytest.raises(UnknownSymbolError) as caught:
+        parse_set_expression("D and GaussG(0)")
+    assert caught.value.position == 6
+    assert str(caught.value) == "set GaussG(0): parameter must be >= 1 (at position 6)"
+    with pytest.raises(UnknownSymbolError, match="unknown symbol or set name 'Zeta'"):
+        parse_set_expression("D and Zeta")
