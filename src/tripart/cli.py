@@ -83,8 +83,10 @@ def _emit(output, out: str | None) -> None:
 
 def _json(payload):
     """``json.dumps(payload, indent=2)`` and a newline, in chunks of
-    ``_BATCH`` encoder pieces; the payload is built before the first one."""
-    pieces = json.JSONEncoder(indent=2).iterencode(payload)
+    ``_BATCH`` encoder pieces.  An object JSON cannot encode is replaced
+    by its own ``to_json()`` as the encoder reaches it, so a listing of
+    partitions is never copied whole into dicts."""
+    pieces = json.JSONEncoder(indent=2, default=lambda obj: obj.to_json()).iterencode(payload)
     while chunk := "".join(islice(pieces, _BATCH)):
         yield chunk
     yield "\n"
@@ -185,11 +187,7 @@ def _cmd_enumerate(args):
     else:
         listing = partitions_of(args.n, ceiling=args.desk_ceiling)
     if args.format == "json":
-        return 0, _json({
-            "n": listing.n,
-            "count": len(listing),
-            "items": [p.to_json() for p in listing],
-        })
+        return 0, _json({"n": listing.n, "count": len(listing), "items": listing.items})
     if args.format == "csv":
         return 0, _csv(("partition",), ((str(p),) for p in listing))
     return 0, _lines(listing)
@@ -213,7 +211,7 @@ def _cmd_map(args):
         branch, fn = _BRANCHES[args.branch]
         image = fn(p)
     if args.format == "json":
-        return 0, _json({"source": p.to_json(), "branch": branch, "image": image.to_json()})
+        return 0, _json({"source": p, "branch": branch, "image": image})
     return 0, f"{p}  branch {branch}  ->  {image}\n"
 
 
@@ -221,12 +219,9 @@ def _cmd_orbit(args):
     result = trimap.orbit(Partition.from_text(args.partition), args.steps)
     if args.format == "json":
         return 0, _json({
-            "start": result.start.to_json(),
-            "steps": [
-                {"branch": str(s.branch), "image": s.image.to_json()}
-                for s in result.steps
-            ],
-            "terminal": result.terminal.to_json(),
+            "start": result.start,
+            "steps": [{"branch": str(s.branch), "image": s.image} for s in result.steps],
+            "terminal": result.terminal,
         })
     lines = [f"start {result.start}"]
     lines += [f"{s.branch} -> {s.image}" for s in result.steps]
@@ -333,25 +328,25 @@ def _cmd_certify(args):
     except (BranchMismatchError, NotInjectiveError, NotOntoError) as exc:
         return VERIFY_FAILURE, f"certification failed: {exc}\n"
     if args.format == "json":
-        return 0, _json(cert.to_json())
+        return 0, _json(cert)
     lines = [f"{args.domain} -> {args.codomain} via {args.word} at n={args.n}"]
     lines += [f"{src}  ->  {img}" for src, _, img in cert.pairs]
     lines.append(f"pairs: {len(cert.pairs)}")
     return 0, "\n".join(lines) + "\n"
 
 
+# series name -> qseries function, looked up when the command runs
+_SERIES = {"P": "expand_partition_gf", "divisor": "divisor_series",
+           "odd-divisor": "odd_divisor_series"}
+
+
 def _cmd_series(args):
     _check_ceiling(args.N, args.desk_ceiling)
     name = args.series
-    if name == "P":
-        series = qseries.expand_partition_gf(args.N)
-    elif name == "divisor":
-        series = qseries.divisor_series(args.N)
-    elif name == "odd-divisor":
-        series = qseries.odd_divisor_series(args.N)
+    if name in _SERIES:
+        series = getattr(qseries, _SERIES[name])(args.N)
     else:
-        pred = _resolve_predicate(name)
-        series = qseries.set_series(pred, args.N)
+        series = qseries.set_series(_resolve_predicate(name), args.N)
     return 0, _render_series(name, series, args.format)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import groupby
 
 
 class InputError(ValueError):
@@ -122,7 +123,7 @@ _TEXT_TEMPLATES = _TextTemplates()
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Partition:
     """A partition as strictly decreasing parts with positive multiplicities.
 
@@ -130,9 +131,12 @@ class Partition:
     :meth:`from_weak_sequence` to normalize a plain non-increasing list
     of parts with repeats.  Instances have slots and no ``__dict__``:
     a listing of p(60) partitions keeps nearly a million of them, and
-    the two tuples are all that one holds.
+    the two tuples are all that one holds.  The slots are declared here
+    rather than with ``slots=True``, which would replace the class and
+    leave the frozen ``__setattr__`` pointing at the old one.
     """
 
+    __slots__ = ("parts", "mults")
     parts: tuple[int, ...]
     mults: tuple[int, ...]
 
@@ -170,23 +174,14 @@ class Partition:
         so [3, 2, 2] becomes (3,2)x[1,2].
         """
         seq = list(parts_with_repeats)
-        if not seq:
-            raise EmptyPartitionError("a partition needs at least one part")
         for v in seq:
             if not isinstance(v, int) or v < 1:
                 raise NonPositiveEntryError(f"part {v!r} is not a positive integer")
         for a, b in zip(seq, seq[1:]):
             if a < b:
                 raise NotSortedError(f"sequence must be non-increasing; saw {a} before {b}")
-        parts: list[int] = []
-        mults: list[int] = []
-        for v in seq:
-            if parts and parts[-1] == v:
-                mults[-1] += 1
-            else:
-                parts.append(v)
-                mults.append(1)
-        return cls(tuple(parts), tuple(mults))
+        runs = [(v, len(list(run))) for v, run in groupby(seq)]
+        return cls(tuple(v for v, _ in runs), tuple(k for _, k in runs))
 
     @classmethod
     def from_text(cls, text: str) -> "Partition":
@@ -241,6 +236,11 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition.from_text({str(self)!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: restoring slot state
+        # would go through the frozen __setattr__
+        return Partition, (self.parts, self.mults)
 
 
 def make_partition(parts, mults) -> Partition:

@@ -358,12 +358,11 @@ def _format_lin(expr: LinExpr) -> str:
             out = piece if coef > 0 else f"-{piece}"
         else:
             out += f" + {piece}" if coef > 0 else f" - {piece}"
-    if expr.const or not out:
-        c = expr.const
-        if not out:
-            out = str(c)
-        else:
-            out += f" + {c}" if c > 0 else f" - {-c}"
+    c = expr.const
+    if not out:
+        return str(c)
+    if c:
+        out += f" + {c}" if c > 0 else f" - {-c}"
     return out
 
 
@@ -447,9 +446,10 @@ FALSE = SetPredicate(Lit(False))
 
 # --- parser --------------------------------------------------------------
 
+# whitespace, then one token; any other character is the group "bad"
 _TOKEN_RE = re.compile(
-    r"(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op><=|>=|<|>|=|\(|\)|\[|\]|:|\*|\+|-)"
+    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<op><=|>=|<|>|=|\(|\)|\[|\]|:|\*|\+|-)|(?P<bad>\S))"
 )
 
 _KEYWORDS = {
@@ -475,17 +475,11 @@ def _flatten(cls, items):
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise DslSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 

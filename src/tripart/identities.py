@@ -189,19 +189,13 @@ def verify_offset_theorem(d: int, n_max: int) -> CountReport:
     return _check(preds, columns, [_equal(columns, 0, 1), _equal(columns, 2, 3)], n_max)
 
 
-_CYLINDER_IMAGES = {
-    "00": ("T0Delta00", "T0T0Delta00"),
-    "01": ("T0Delta01", "T1T0Delta01"),
-    "10": ("T1Delta10", "T0T1Delta10"),
-    "11": ("T1Delta11", "T1T1Delta11"),
-}
-
-
 def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountReport:
     """Equicounts for the four length-two branch words.
 
     ``steps`` limits the report to the one-step or two-step images;
-    the default checks both, eight verdicts in all.
+    the default checks both, eight verdicts in all.  The image of
+    ``Delta<word>`` after k letters is the registered set named by the
+    branches applied, last first: ``T1T0Delta01`` for two steps on 01.
     """
     wanted = (1, 2) if steps is None else (steps,)
     columns = []
@@ -211,7 +205,7 @@ def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountRepor
         columns.append("Delta" + word)
         for step in wanted:
             pairs.append((base, len(columns)))
-            columns.append(_CYLINDER_IMAGES[word][step - 1])
+            columns.append("".join("T" + c for c in word[step - 1::-1]) + "Delta" + word)
     preds = [builtin(name) for name in columns]
     return _check(preds, columns, [_equal(columns, i, j) for i, j in pairs], n_max)
 

@@ -183,12 +183,9 @@ def builtin(name: str) -> SetPredicate:
         family, d = m.group(1), int(m.group(2))
         if d < 1:
             raise SetParameterError(f"set {name}: parameter must be >= 1")
-        if family == "Delta0Off":
-            pred = delta0_offset(d)
-        elif family == "Delta1Off":
-            pred = delta1_offset(d)
-        else:
-            pred = gauss_set(d)
+        families = {"Delta0Off": delta0_offset, "Delta1Off": delta1_offset,
+                    "GaussG": gauss_set}
+        pred = families[family](d)
     _predicate_cache[name] = pred
     return pred
 

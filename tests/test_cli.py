@@ -230,11 +230,16 @@ def test_verify_names_reachable():
         assert "result: pass" in result.stdout
 
 
-def test_verify_failure_exit_and_diagnostics():
+def test_verify_failure_exit_and_diagnostics(capsys):
     result = run_cli("verify", "equicount", "D", "M0", "--nmax", "12")
     assert result.returncode == 1
     assert "FAIL at n=1" in result.stdout
     assert "(1)x[1]" in result.stdout
+    # the other way round, (1)x[1] is only on the right
+    assert cli.main(["verify", "equicount", "M0", "D", "--nmax", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "check M0 = D: FAIL at n=1 (0 vs 1)\n  only right: (1)x[1]\nresult: FAIL\n" in out
+    assert "only left" not in out and err == ""
 
 
 def test_verify_json():

@@ -96,6 +96,14 @@ PARSE_ERRORS = [
     ("D and", U, "unknown symbol 'D'", 0, (S, "unexpected end of input", 5)),
     ("Zeta > 1", U, "unknown symbol 'Zeta'", 0,
      (U, "unknown symbol or set name 'Zeta'", 0)),
+    # what the tokenizer skips and where it stops
+    ("   ", S, "unexpected end of input", 3, None),
+    ("L1 < @", S, "unexpected character '@'", 5, None),
+    ("@L1", S, "unexpected character '@'", 0, None),
+    ("L1 < 2 $", S, "unexpected character '$'", 7, None),
+    ("K1 \u00e9 2", S, "unexpected character '\u00e9'", 3, None),
+    ("D and Zeta(1)", U, "unknown symbol 'D'", 0,
+     (U, "unknown symbol or set name 'Zeta(1)'", 6)),
 ]
 
 
@@ -111,6 +119,21 @@ def test_parse_error_outcomes(text, cls, message, position, in_sets):
         assert type(err.value) is want_cls, route.__name__
         assert str(err.value) == f"{want_message} (at position {want_position})", route.__name__
         assert err.value.position == want_position, route.__name__
+
+
+@pytest.mark.parametrize("text, source", [
+    ("\tL1\n<\r2", "L1 < 2"),
+    ("L1\xa0< 2", "L1 < 2"),
+    ("L1\u2003<\u3000 2", "L1 < 2"),
+    ("L1\x1c< 2", "L1 < 2"),
+    ("L1 < 2  ", "L1 < 2"),
+    ("L1 < \u0663", "L1 < 3"),  # an Arabic-Indic three is a digit
+])
+def test_any_unicode_space_separates_tokens(text, source):
+    from tripart.sets import parse_set_expression
+
+    for route in (parse, parse_set_expression):
+        assert route(text).source() == source, route.__name__
 
 
 def test_unknown_symbols():
@@ -212,6 +235,9 @@ def test_format_parse_round_trip():
         again = parse(once.source())
         assert once.root == again.root, text
         assert again.source() == once.source()
+        assert once == again and hash(once) == hash(again)
+        assert once != once.root
+        assert repr(once) == f"SetPredicate({once.source()!r})"
 
 
 def test_registry_sources_round_trip():

@@ -3,6 +3,7 @@
 import pytest
 
 from tripart import builtin, count_partitions, parse_predicate
+from tripart.core import ContractError
 from tripart.identities import count_columns, count_set, odd_divisor_count
 from tripart.qseries import (
     distinct_parts_product,
@@ -40,6 +41,8 @@ def test_expand_product_distinct_and_odd():
     assert distinct_parts_product(11)[11] == 12
     assert odd_parts_product(11)[11] == 12
     assert expand_product([], 5).coeffs == (1, 0, 0, 0, 0, 0)
+    # a factor beyond the truncation order is skipped
+    assert expand_product([(1, 6), (-1, 9)], 5).coeffs == (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         expand_product([(1, 0)], 5)
 
@@ -177,9 +180,12 @@ def test_support_series_cylinders():
 def test_series_arithmetic_guards():
     with pytest.raises(ValueError):
         ones_series(5) + ones_series(6)
+    with pytest.raises(ContractError, match="series have different truncation orders"):
+        ones_series(5) - ones_series(6)
     with pytest.raises(ValueError):
         multiples_series(0, 5)
     assert (ones_series(3) - ones_series(3)).coeffs == (0, 0, 0, 0)
+    assert len(ones_series(3)) == 4
 
 
 def test_series_json():

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from tripart import Partition, builtin, cylinder, gauss_set, parse_set_expression
+from tripart.core import InputError
 from tripart.dsl import UnknownSymbolError
 from tripart.enumeration import iter_partitions
 from tripart.sets import (
@@ -187,6 +188,8 @@ def test_parameterized_sets():
     assert delta1_offset(3)(P("(9,5,1)x[1,1,1]"))    # 9 = 5+1+3
     with pytest.raises(ValueError):
         delta0_offset(0)
+    with pytest.raises(InputError, match="offset d must be >= 1"):
+        delta1_offset(0)
     with pytest.raises(ValueError):
         gauss_set(-1)
 

@@ -192,6 +192,12 @@ def test_td_part_injectivity_examples():
     assert td_part_injectivity_check(a, a)
     with pytest.raises(WrongBranchError):
         td_part_injectivity_check(P("(6,5)x[1,1]"), a)
+    with pytest.raises(WrongBranchError, match=r"\(6,5\)x\[1,1\] is not on the diagonal"):
+        td_part_injectivity_check(a, P("(6,5)x[1,1]"))
+    # different images: nothing to compare, even with different part vectors
+    c = P("(4,2)x[1,1]")
+    assert apply_td(a) != apply_td(c)
+    assert td_part_injectivity_check(a, c)
 
 
 def test_td_part_injectivity_exhaustive():
