@@ -72,7 +72,9 @@ def _emit(output, out: str | None) -> None:
         # Point the stream at devnull so that the flush at close or exit
         # drops what is still buffered instead of failing again.  A reader
         # that has gone is not an error; a full disk is.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fh.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             where = "stdout" if out is None else out
             raise InputError(f"cannot write {where}: {exc.strerror}") from None
@@ -241,8 +243,8 @@ def _cmd_sets(args):
             "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
             for row in rows
         )
-        extra = "\nparameterized: Delta0Off(d), Delta1Off(d), GaussG(d) for d >= 1\n"
-        return 0, text + "\n" + extra
+        families = ", ".join(f"{family}(d)" for family in sets._FAMILIES)
+        return 0, f"{text}\n\nparameterized: {families} for d >= 1\n"
     if args.action == "show":
         try:
             pred = sets.builtin(args.name)
@@ -272,25 +274,24 @@ def _verify_delta_m(args) -> list[tuple[str, CountReport]]:
     ]
 
 
-# theorem name -> function returning its labelled reports; each looks its
-# verifier up on the identities module when it runs
+# theorem name -> (function returning its labelled reports, whether it reads
+# --d); each function looks its verifier up on the identities module when it
+# runs.  equicount is last: the theorem help ends with its two set arguments.
 _VERIFIERS = {
-    "equicount": _verify_equicount,
-    "delta-m": _verify_delta_m,
-    "offset": lambda a: [(f"offset d={a.d}", identities.verify_offset_theorem(a.d, a.nmax))],
-    "cylinder1": lambda a: [
-        ("cylinder one-step", identities.verify_cylinder_theorems(a.nmax, steps=1))],
-    "cylinder2": lambda a: [
-        ("cylinder two-step", identities.verify_cylinder_theorems(a.nmax, steps=2))],
-    "gauss": lambda a: [(f"gauss d={a.d}", identities.verify_gauss_theorem(a.d, a.nmax))],
-    "distinct": lambda a: [("distinct", identities.verify_distinct_theorem(a.nmax))],
-    "odd": lambda a: [("odd", identities.verify_odd_theorem(a.nmax))],
-    "euler": lambda a: [("euler", identities.verify_euler_chain(a.nmax))],
+    "delta-m": (_verify_delta_m, False),
+    "offset": (lambda a: [(f"offset d={a.d}", identities.verify_offset_theorem(a.d, a.nmax))],
+               True),
+    "cylinder1": (lambda a: [
+        ("cylinder one-step", identities.verify_cylinder_theorems(a.nmax, steps=1))], False),
+    "cylinder2": (lambda a: [
+        ("cylinder two-step", identities.verify_cylinder_theorems(a.nmax, steps=2))], False),
+    "gauss": (lambda a: [(f"gauss d={a.d}", identities.verify_gauss_theorem(a.d, a.nmax))], True),
+    "distinct": (lambda a: [("distinct", identities.verify_distinct_theorem(a.nmax))], False),
+    "odd": (lambda a: [("odd", identities.verify_odd_theorem(a.nmax))], False),
+    "euler": (lambda a: [("euler", identities.verify_euler_chain(a.nmax))], False),
+    "equicount": (_verify_equicount, False),
 }
-
-
-# the theorems that read --d
-_OFFSET_THEOREMS = ("offset", "gauss")
+_D_READERS = " and ".join(name for name, (_, reads_d) in _VERIFIERS.items() if reads_d)
 
 
 def _cmd_verify(args):
@@ -300,11 +301,15 @@ def _cmd_verify(args):
         raise InputError(f"verify {name} takes no positional set arguments")
     if name not in _VERIFIERS:
         raise InputError(f"unknown theorem {name!r}")
+    verifier, reads_d = _VERIFIERS[name]
     if args.d is None:
         args.d = 1
-    elif name not in _OFFSET_THEOREMS:
-        raise InputError(f"verify {name} takes no --d; only offset and gauss read it")
-    reports = _VERIFIERS[name](args)
+    elif not reads_d:
+        raise InputError(f"verify {name} takes no --d; only {_D_READERS} read it")
+    elif args.d > args.nmax:
+        # the offset sets and GaussG(d) have no member below n = d + 3
+        raise InputError(f"--d {args.d} exceeds --nmax {args.nmax}; every count would be 0")
+    reports = verifier(args)
     if args.format == "json":
         output = _json([{"name": label, **report.to_json()} for label, report in reports])
     elif args.format == "csv":
@@ -427,13 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[sized],
                        help="run a theorem verifier; exit 1 on failure")
-    p.add_argument("theorem",
-                   help="delta-m | offset | cylinder1 | cylinder2 | gauss"
-                        " | distinct | odd | euler | equicount A B")
+    p.add_argument("theorem", help=" | ".join(_VERIFIERS) + " A B")
     p.add_argument("args", nargs="*", default=[])
     p.add_argument("--nmax", type=_int_at_least(1), default=40)
     p.add_argument("--d", type=int, default=None,
-                   help="the offset d of offset and gauss (default 1); no other theorem takes it")
+                   help=f"the offset d of {_D_READERS} (default 1); no other theorem takes it")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("certify", parents=[sized],

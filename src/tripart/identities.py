@@ -2,18 +2,18 @@
 
 Everything here counts by exhaustive enumeration; nothing trusts a
 closed form.  Every theorem verifier is a declaration checked by one
-shared checker: set columns, counted together in a single enumeration
-pass per n; optional arithmetic columns, functions of n such as the
-odd-divisor count, appended after them; and linear relations
-``row[lhs] = sum(row[rhs])``.  Reports carry per-n counts, a verdict per
-relation and, on failure, the first counterexample n with both sides;
-a failed set-versus-set relation also names the partitions in only one
-of the two sets, so a falsified claim is immediately diagnosable.
+shared checker: named set columns, counted together in one enumeration
+pass per n; optional named arithmetic columns, functions of n such as
+the odd-divisor count, appended after them; and linear relations
+``lhs = sum(rhs)`` between column names.  Reports carry per-n counts, a
+verdict per relation and, on failure, the first counterexample n with
+both sides; a failed set-versus-set relation also names the partitions
+in only one of the two sets, so a falsified claim is diagnosable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition
@@ -111,29 +111,42 @@ def _unpaired_distinct_count(n: int) -> int:
     return 1 + (n % 3 == 0)
 
 
-def _equal(columns, i: int, j: int):
-    """The relation column i = column j, labelled by the column names."""
-    return (f"{columns[i]} = {columns[j]}", i, (j,))
+def _equal(lhs: str, rhs: str):
+    """The relation column lhs = column rhs, labelled by the column names."""
+    return (f"{lhs} = {rhs}", lhs, (rhs,))
 
 
-def _check(preds, columns, relations, n_max: int, arithmetic=(), notes=None) -> CountReport:
+# the arithmetic decompositions, by column name
+_DISTINCT = ("D = 1 + E0 + E1 + ED + [3|n]", "D", ("corr", "E0", "E1", "ED"))
+_ODD = ("O = oddDivisors + F0 + F1", "O", ("oddDiv", "F0", "F1"))
+
+
+def _builtins(*names: str) -> list:
+    """Registered sets as ``(name, set)`` columns."""
+    return [(name, builtin(name)) for name in names]
+
+
+def _check(columns, relations, n_max: int, arithmetic=()) -> CountReport:
     """Count the set columns, then test every relation for 1 <= n <= n_max.
 
-    ``preds`` are the set columns, counted together in one enumeration
-    pass per n; ``arithmetic`` holds functions of n whose values are
-    appended after them.  ``columns`` names the reported prefix of each
-    row: set columns past it are counted but hidden, and ``notes`` turns
-    the full rows into report notes.  A relation ``(label, lhs, rhs)``
-    asserts ``row[lhs] = sum(row[j] for j in rhs)``.  Its first failing n
-    is reported with both sides; when both sides are single set columns,
-    the partitions on only one side are named too.
+    ``columns`` are ``(name, set)`` pairs, counted together in one
+    enumeration pass per n; ``arithmetic`` holds ``(name, f)`` pairs whose
+    values f(n) are appended after them.  A relation ``(label, lhs, rhs)``
+    asserts that the column named lhs equals the sum of the columns named
+    in rhs.  Its first failing n is reported with both sides; when both
+    sides are single set columns, the partitions on only one side are
+    named too.
     """
+    names = tuple(name for name, _ in (*columns, *arithmetic))
+    where = {name: i for i, name in enumerate(names)}
+    preds = [pred for _, pred in columns]
     rows = [
-        counted + tuple(f(n) for f in arithmetic)
+        counted + tuple(f(n) for _, f in arithmetic)
         for n, counted in enumerate(count_columns(preds, 1, n_max), 1)
     ]
     checks = []
-    for label, lhs, rhs in relations:
+    for label, lhs_name, rhs_names in relations:
+        lhs, rhs = where[lhs_name], [where[name] for name in rhs_names]
         for n, row in enumerate(rows, 1):
             total = sum(row[j] for j in rhs)
             if row[lhs] != total:
@@ -152,16 +165,14 @@ def _check(preds, columns, relations, n_max: int, arithmetic=(), notes=None) -> 
                 break
         else:
             checks.append(EqualityCheck(label, passed=True))
-    width = len(columns)
-    return CountReport(
-        1, n_max, tuple(columns), tuple(row[:width] for row in rows),
-        tuple(checks), tuple(notes(rows)) if notes else (),
-    )
+    return CountReport(1, n_max, names, tuple(rows), tuple(checks))
 
 
 def verify_equicount(a, b, n_max: int, names: tuple[str, str] = ("A", "B")) -> CountReport:
     """Check p_A(n) = p_B(n) for 1 <= n <= n_max."""
-    return _check([a, b], names, [_equal(names, 0, 1)], n_max)
+    # keyed apart, since the two names may be the same text
+    report = _check([("A", a), ("B", b)], [(f"{names[0]} = {names[1]}", "A", ("B",))], n_max)
+    return replace(report, columns=tuple(names))
 
 
 def _offset_image0(d: int) -> SetPredicate:
@@ -181,12 +192,10 @@ def verify_offset_theorem(d: int, n_max: int) -> CountReport:
     """
     if d < 1:
         raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
-    preds = [delta0_offset(d), _offset_image0(d), delta1_offset(d), _offset_image1(d)]
-    columns = (
-        f"Delta0Off({d})", f"M0&gap({d})",
-        f"Delta1Off({d})", f"M1&gap({d})",
-    )
-    return _check(preds, columns, [_equal(columns, 0, 1), _equal(columns, 2, 3)], n_max)
+    off0, gap0, off1, gap1 = f"Delta0Off({d})", f"M0&gap({d})", f"Delta1Off({d})", f"M1&gap({d})"
+    columns = [(off0, delta0_offset(d)), (gap0, _offset_image0(d)),
+               (off1, delta1_offset(d)), (gap1, _offset_image1(d))]
+    return _check(columns, [_equal(off0, gap0), _equal(off1, gap1)], n_max)
 
 
 def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountReport:
@@ -198,16 +207,13 @@ def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountRepor
     branches applied, last first: ``T1T0Delta01`` for two steps on 01.
     """
     wanted = (1, 2) if steps is None else (steps,)
-    columns = []
-    pairs = []  # (base column, image column)
+    columns, relations = [], []
     for word in ("00", "01", "10", "11"):
-        base = len(columns)
-        columns.append("Delta" + word)
-        for step in wanted:
-            pairs.append((base, len(columns)))
-            columns.append("".join("T" + c for c in word[step - 1::-1]) + "Delta" + word)
-    preds = [builtin(name) for name in columns]
-    return _check(preds, columns, [_equal(columns, i, j) for i, j in pairs], n_max)
+        base = "Delta" + word
+        images = ["".join("T" + c for c in word[step - 1::-1]) + base for step in wanted]
+        columns += _builtins(base, *images)
+        relations += [_equal(base, image) for image in images]
+    return _check(columns, relations, n_max)
 
 
 def gauss_step_image(d: int, p: int) -> SetPredicate:
@@ -238,24 +244,22 @@ def verify_gauss_theorem(d: int, n_max: int) -> CountReport:
     """
     if d < 1:
         raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
-    preds = [gauss_set(d)] + [gauss_step_image(d, p) for p in range(0, d + 1)]
-    preds.append(gauss_final_image(d))
-    columns = [f"GaussG({d})"] + [f"T1^{p}(GaussG({d}))" for p in range(0, d + 1)]
-    columns.append(f"T0T1^{d}(GaussG({d}))")
-    reported = len(preds)
-    # hidden columns feeding the general-p applicability notes
+    band = f"GaussG({d})"
+    shown = [(band, gauss_set(d))]
+    shown += [(f"T1^{p}({band})", gauss_step_image(d, p)) for p in range(0, d + 1)]
+    shown.append((f"T0T1^{d}({band})", gauss_final_image(d)))
+    # hidden columns, counted in the same sweep, feeding the applicability notes
     below = builtin("Delta0")
-    preds += [gauss_step_image(d, p) & below for p in range(0, d)]
-
-    def notes(rows):
-        return [
-            f"T0 after T1^{p} (p < d): image stays above the diagonal; "
-            f"{sum(row[reported + p] for row in rows)} applicable members for n <= {n_max}"
-            for p in range(0, d)
-        ]
-
-    relations = [_equal(columns, 0, j) for j in range(1, reported)]
-    return _check(preds, columns, relations, n_max, notes=notes)
+    hidden = [(f"T1^{p}({band}) & Delta0", gauss_step_image(d, p) & below) for p in range(0, d)]
+    report = _check(shown + hidden, [_equal(band, name) for name, _ in shown[1:]], n_max)
+    width = len(shown)
+    notes = tuple(
+        f"T0 after T1^{p} (p < d): image stays above the diagonal; "
+        f"{sum(row[width + p] for row in report.rows)} applicable members for n <= {n_max}"
+        for p in range(0, d)
+    )
+    return replace(report, columns=report.columns[:width],
+                   rows=tuple(row[:width] for row in report.rows), notes=notes)
 
 
 def verify_distinct_theorem(n_max: int) -> CountReport:
@@ -266,35 +270,21 @@ def verify_distinct_theorem(n_max: int) -> CountReport:
     which TD sends to (a)x[3], outside ED.  No route pairs either family
     with an E set, so both are computed arithmetically, not by enumeration.
     """
-    names = ("D", "E0", "E1", "ED")
-    return _check(
-        [builtin(name) for name in names], names + ("corr",),
-        [("D = 1 + E0 + E1 + ED + [3|n]", 0, (4, 1, 2, 3))],
-        n_max, arithmetic=(_unpaired_distinct_count,),
-    )
+    return _check(_builtins("D", "E0", "E1", "ED"), [_DISTINCT], n_max,
+                  arithmetic=[("corr", _unpaired_distinct_count)])
 
 
 def verify_odd_theorem(n_max: int) -> CountReport:
     """Odd-parts decomposition: |O| = (odd divisors of n) + |F0| + |F1|."""
-    names = ("O", "F0", "F1")
-    return _check(
-        [builtin(name) for name in names], names + ("oddDiv",),
-        [("O = oddDivisors + F0 + F1", 0, (3, 1, 2))],
-        n_max, arithmetic=(odd_divisor_count,),
-    )
+    return _check(_builtins("O", "F0", "F1"), [_ODD], n_max,
+                  arithmetic=[("oddDiv", odd_divisor_count)])
 
 
 def verify_euler_chain(n_max: int) -> CountReport:
     """The full three-way chain: distinct = odd = both decompositions."""
-    names = ("D", "O", "E0", "E1", "ED", "F0", "F1")
     return _check(
-        [builtin(name) for name in names], names + ("corr", "oddDiv"),
-        [
-            _equal(names, 0, 1),
-            ("D = 1 + E0 + E1 + ED + [3|n]", 0, (7, 2, 3, 4)),
-            ("O = oddDivisors + F0 + F1", 1, (8, 5, 6)),
-        ],
-        n_max, arithmetic=(_unpaired_distinct_count, odd_divisor_count),
+        _builtins("D", "O", "E0", "E1", "ED", "F0", "F1"), [_equal("D", "O"), _DISTINCT, _ODD],
+        n_max, arithmetic=[("corr", _unpaired_distinct_count), ("oddDiv", odd_divisor_count)],
     )
 
 

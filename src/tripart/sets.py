@@ -125,7 +125,11 @@ _ENTRIES = [
 
 _REGISTRY = {entry.name: entry for entry in _ENTRIES}
 
-_PARAM_RE = re.compile(r"^(Delta0Off|Delta1Off|GaussG)\((\d+)\)$")
+# parameterized family -> the name of its builder below, looked up when
+# builtin runs, so a builder wrapped after import is the one called
+_FAMILIES = {"Delta0Off": "delta0_offset", "Delta1Off": "delta1_offset", "GaussG": "gauss_set"}
+
+_PARAM_RE = re.compile(rf"^({'|'.join(_FAMILIES)})\((\d+)\)$")
 
 _predicate_cache: dict[str, SetPredicate] = {}
 
@@ -183,9 +187,7 @@ def builtin(name: str) -> SetPredicate:
         family, d = m.group(1), int(m.group(2))
         if d < 1:
             raise SetParameterError(f"set {name}: parameter must be >= 1")
-        families = {"Delta0Off": delta0_offset, "Delta1Off": delta1_offset,
-                    "GaussG": gauss_set}
-        pred = families[family](d)
+        pred = globals()[_FAMILIES[family]](d)
     _predicate_cache[name] = pred
     return pred
 

@@ -372,6 +372,17 @@ def test_verify_d_only_for_offset_and_gauss(capsys):
     assert "takes no --d" in capsys.readouterr().err
 
 
+def test_verify_d_above_nmax_is_a_usage_error(capsys):
+    # neither GaussG(d) nor the offset sets have a member below n = d + 3,
+    # so with --d above --nmax every count would be 0
+    for name in ("offset", "gauss"):
+        assert cli.main(["verify", name, "--d", "5", "--nmax", "4"]) == 2, name
+        assert capsys.readouterr() == (
+            "", "error: --d 5 exceeds --nmax 4; every count would be 0\n"), name
+        assert cli.main(["verify", name, "--d", "4", "--nmax", "4"]) == 0, name
+        assert "result: pass" in capsys.readouterr().out
+
+
 def test_sets_rejects_positionals_it_does_not_read(capsys):
     # list reads no positional and show reads only the set name
     for argv, extra in ((["sets", "list", "E0"], "E0"),
@@ -553,3 +564,53 @@ def test_set_parameter_errors_keep_their_reason(capsys):
     for text, name in (("Zeta", "Zeta"), ("Zeta(0)", "Zeta(0)"), ("GaussG(x)", "GaussG")):
         assert cli.main(["enumerate", "5", "--filter", text]) == 2
         assert f"unknown symbol or set name {name!r}" in capsys.readouterr().err
+
+
+def test_equicount_of_a_set_with_itself(capsys):
+    # both columns carry the argument text, and the relation still
+    # compares the two columns rather than one with itself by name
+    assert cli.main(["verify", "equicount", "D", "D", "--nmax", "6"]) == 0
+    assert capsys.readouterr() == ("== equicount (n <= 6) ==\n"
+                                   "     n       D       D\n"
+                                   "     1       1       1\n"
+                                   "     2       1       1\n"
+                                   "     3       2       2\n"
+                                   "     4       2       2\n"
+                                   "     5       3       3\n"
+                                   "     6       4       4\n"
+                                   "\n"
+                                   "check D = D: pass\n"
+                                   "result: pass\n", "")
+
+
+def test_verify_help_lists_every_theorem(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    for name in cli._VERIFIERS:
+        assert f" {name} " in help_text, name
+
+
+def test_enumerate_json_count_above_fifty():
+    # the count leaves in the first chunk, before any item is encoded
+    args = cli._build_parser().parse_args(["enumerate", "51", "--format", "json"])
+    code, output = args.fn(args)
+    first = next(iter(output))
+    assert code == 0
+    head = f'{{\n  "n": 51,\n  "count": {enumeration.count_partitions(51)},\n'
+    assert first.startswith(head)
+    assert enumeration.count_partitions(51) == 239943
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd") or not os.path.exists("/dev/full"),
+                    reason="needs /proc/self/fd and /dev/full")
+def test_full_out_leaves_no_descriptor_open(capsys):
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_descriptors()
+    for _ in range(5):
+        assert cli.main(["enumerate", "5", "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.count("\n") == 5
+    assert open_descriptors() == before

@@ -489,3 +489,13 @@ def test_counterexamples_above_the_desk_ceiling(monkeypatch):
     assert (check.first_failure, check.lhs_count, check.rhs_count) == (4, 0, 1)
     assert check.only_lhs == ()
     assert check.only_rhs == (P("(3,1)x[1,1]"),)
+
+
+def test_equicount_with_repeated_names_compares_both_sets():
+    # two different sets that share a name are still two columns
+    report = verify_equicount(builtin("D"), builtin("Delta0"), 6, names=("X", "X"))
+    check = report.checks[0]
+    assert report.columns == ("X", "X")
+    assert (check.label, check.passed, check.first_failure) == ("X = X", False, 1)
+    assert (check.lhs_count, check.rhs_count) == (1, 0)
+    assert check.only_lhs == (P("(1)x[1]"),) and check.only_rhs == ()
