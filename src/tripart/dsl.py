@@ -290,18 +290,22 @@ def compile_node(root: Node) -> Callable[[tuple, tuple, int], bool]:
     return emitter.build("_pred", f"def _pred(L, K, m):\n    return {body}\n")
 
 
-def raw_test(pred) -> Callable[[tuple, tuple, int], bool]:
-    """Any membership test as a (parts, mults, dim) test on raw tuples.
+def raw_test(pred) -> Callable[[Sequence, Sequence, int], bool]:
+    """Any membership test as a (parts, mults, dim) test on a raw partition.
 
-    A :class:`SetPredicate` gives its compiled closure.  Any other
-    ``Partition -> bool`` callable is handed each partition wrapped,
-    unvalidated, as a Partition; nothing is compiled for it.  This is
+    Parts and multiplicities may be tuples or the enumerator's working
+    lists.  A :class:`SetPredicate` gives its compiled closure, which
+    only indexes, measures and iterates them, so it reads both alike.
+    Any other ``Partition -> bool`` callable is handed each partition
+    wrapped, unvalidated, as a Partition of its own tuples, so one it
+    keeps never shares a list the enumerator goes on changing (``tuple``
+    of a tuple returns it as is); nothing is compiled for it.  This is
     the one place that decides how a test reads a raw partition.
     """
     if isinstance(pred, SetPredicate):
         return pred.fn
     wrap = Partition._wrap
-    return lambda L, K, m: pred(wrap(L, K))
+    return lambda L, K, m: pred(wrap(tuple(L), tuple(K)))
 
 
 def compile_columns(preds: Sequence) -> Callable[[Iterable], tuple[int, ...]]:

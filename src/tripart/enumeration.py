@@ -12,7 +12,9 @@ successor rule in multiplicity form (Zoghbi and Stojmenovic's ZS1):
 pop the trailing 1s, take one copy off the last part v > 1, then append
 v-1 with multiplicity q and the remainder r < v-1 if r > 0, where q and
 r divide the freed amount (the copy of v plus the popped 1s) by v-1.
-Each step costs O(1) amortised, plus the two tuples it yields.
+Each step costs O(1) amortised, plus the two tuples it yields.  A
+filtered listing tests the working lists before building those tuples,
+so a partition the test rejects costs no tuples at all.
 """
 
 from __future__ import annotations
@@ -78,7 +80,14 @@ def iter_raw(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     return _successors(n)
 
 
-def _successors(n: int):
+def _successors(n: int, test: Callable[[list, list, int], bool] | None = None):
+    """Yield (parts, mults) tuples of the partitions of n, canonical order.
+
+    This is the one enumerator.  With a ``test``, each partition is first
+    offered as ``test(parts, mults, len(parts))`` on the working lists,
+    which the next step mutates, and its tuples are built only when the
+    test accepts; a test must not keep the lists it is given.
+    """
     parts = [n]
     mults = [1]
     pop_part = parts.pop
@@ -86,7 +95,8 @@ def _successors(n: int):
     add_part = parts.append
     add_mult = mults.append
     while True:
-        yield tuple(parts), tuple(mults)
+        if test is None or test(parts, mults, len(parts)):
+            yield tuple(parts), tuple(mults)
         if parts[-1] == 1:
             if len(parts) == 1:
                 return
@@ -167,15 +177,14 @@ def filter_partitions(
 ) -> PartitionList:
     """Partitions of n satisfying ``pred``, canonical order preserved.
 
-    ``pred`` is tested on the raw (parts, mults) tuples through
-    :func:`tripart.dsl.raw_test`, and only the members are kept as
+    ``pred`` is tested through :func:`tripart.dsl.raw_test` on the
+    enumerator's working lists, and only the members become tuples and
     Partitions, whose equal tuples are stored once as in
     :func:`iter_partitions`.  ``ceiling`` overrides
     :data:`DESK_CEILING`, the largest n enumerated by default.
     """
     _check_n(n, ceiling)
-    test = raw_test(pred)
     wrap = Partition._wrap
     share = {}.setdefault
-    items = [wrap(share(L, L), share(K, K)) for L, K in _successors(n) if test(L, K, len(L))]
+    items = [wrap(share(L, L), share(K, K)) for L, K in _successors(n, raw_test(pred))]
     return PartitionList(n, tuple(items))

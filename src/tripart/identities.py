@@ -205,7 +205,10 @@ def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountRepor
     the default checks both, eight verdicts in all.  The image of
     ``Delta<word>`` after k letters is the registered set named by the
     branches applied, last first: ``T1T0Delta01`` for two steps on 01.
+    Any other ``steps`` raises :class:`~tripart.core.InputError`.
     """
+    if steps not in (None, 1, 2):
+        raise InputError(f"steps must be 1 or 2, or None for both; got {steps!r}")
     wanted = (1, 2) if steps is None else (steps,)
     columns, relations = [], []
     for word in ("00", "01", "10", "11"):
@@ -365,7 +368,9 @@ def certify_bijection(
     target = filter_partitions(n, codomain, ceiling=ceiling)
     branches = tuple(branch for _, branch, _ in steps)
     pairs = []
-    seen: dict[Partition, Partition] = {}
+    # keyed on (parts, mults): tuples hash and compare in C, Partitions
+    # through the dataclass's Python __hash__ and __eq__
+    seen: dict[tuple, Partition] = {}
     for p in sources:
         current = p
         for expected, _, apply in steps:
@@ -376,17 +381,18 @@ def certify_bijection(
                     f"{current} (reached from {p}) is {current.classify()}, "
                     f"but the route letter asks for {expected}"
                 ) from None
-        if current in seen:
+        key = (current.parts, current.mults)
+        if key in seen:
             raise NotInjectiveError(
-                f"{p} and {seen[current]} both map to {current}"
+                f"{p} and {seen[key]} both map to {current}"
             )
-        seen[current] = p
+        seen[key] = p
         pairs.append((p, branches, current))
-    target_set = set(target.items)
+    target_keys = {(q.parts, q.mults) for q in target}
     for _, _, img in pairs:
-        if img not in target_set:
+        if (img.parts, img.mults) not in target_keys:
             raise NotOntoError(f"image {img} lies outside {names[1]} at n={n}")
     for q in target:
-        if q not in seen:
+        if (q.parts, q.mults) not in seen:
             raise NotOntoError(f"{names[1]} member {q} is not hit at n={n}")
     return BijectionCertificate(n, names[0], names[1], route, tuple(pairs))

@@ -7,17 +7,22 @@ coordinate's excess to the back or shaves the last coordinate off the
 front; on the diagonal it is undefined.  Those two moves are
 ``core._below`` and ``core._above``, the ones the partition map applies
 to parts.  Exact rationals keep the trichotomy decidable, which matters
-because the tests construct diagonal points deliberately.
+because the tests construct diagonal points deliberately; ints count as
+exact coordinates and stay ints.
 
 In dimension two the map computes continued fractions: runs of
 second-branch steps count a digit the way the Farey map does, and a
-rational input reaches the diagonal in finitely many steps.
+rational input reaches the diagonal in finitely many steps.  The map is
+linear and the trichotomy compares linear forms, so scaling a point by
+a positive number changes neither its classes nor its digits; the
+digits are read off the integer multiple of the point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     _DELTA0, _DELTA_D, ContractError, InputError, PartitionClass, _above, _below, classify_parts,
@@ -38,12 +43,18 @@ class BadRatioError(InputError):
 
 @dataclass(frozen=True)
 class ConePoint:
-    """A point of the cone: m >= 2 strictly decreasing positive rationals."""
+    """A point of the cone: m >= 2 strictly decreasing positive rationals.
 
-    coords: tuple[Fraction, ...]
+    An ``int`` coordinate stays an int and any other goes through
+    ``Fraction``, so an integer point walks the map in int arithmetic.
+    Equality, hashing and ``str`` agree with the point built from the
+    same values as Fractions.
+    """
+
+    coords: tuple[Fraction | int, ...]
 
     def __post_init__(self):
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coords)
+        coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) < 2:
             raise ConePointError("a cone point needs at least two coordinates")
@@ -102,11 +113,16 @@ def cf_digits_via_map(x1, x2, max_steps: int = 10_000) -> list[int]:
     diagonal, where the remaining ratio is exactly one half; the
     pending run then closes with digit r + 2.  If the step budget runs
     out first, the digits collected so far (a prefix) are returned.
+    The walk starts from (x1, x2) times the lcm of their denominators,
+    an integer point with the same classes and digits.
     """
     x1, x2 = Fraction(x1), Fraction(x2)
     if not (x1 > x2 > 0):
         raise BadRatioError(f"need x1 > x2 > 0, got {x1}, {x2}")
-    steps, on_diagonal = orbit(ConePoint((x1, x2)), max_steps)
+    scale = lcm(x1.denominator, x2.denominator)
+    start = ConePoint((x1.numerator * (scale // x1.denominator),
+                       x2.numerator * (scale // x2.denominator)))
+    steps, on_diagonal = orbit(start, max_steps)
     digits: list[int] = []
     run = 0
     for cls, _ in steps:

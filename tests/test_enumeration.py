@@ -110,13 +110,18 @@ def test_filter_examples():
 
 
 def test_filter_matches_oracle_in_order():
-    # set predicates take the raw-tuple path, the plain callable the
-    # wrapping one; both must list exactly the reference members, in order
-    from tripart.sets import cylinder, names
+    # set predicates read the enumerator's working lists, the plain
+    # callable a Partition; both must list exactly the reference
+    # members, in order
+    from tripart.identities import gauss_final_image, gauss_step_image
+    from tripart.sets import cylinder, gauss_set, names
 
     plain = lambda p: p.size % 3 == 0 or p.mults[-1] > p.mults[0]  # noqa: E731
     preds = [builtin(name) for name in names()] + [cylinder((0, 1, 1))]
-    for n in range(1, 17):
+    for d in (1, 2, 3):
+        preds += [gauss_set(d), gauss_final_image(d)]
+        preds += [gauss_step_image(d, p) for p in range(1, d + 1)]
+    for n in range(1, 21):
         reference = [Partition(parts, mults) for parts, mults in oracles.part_mult_partitions(n)]
         for pred in preds:
             expected = [p for p in reference if pred.member(p)]
@@ -133,6 +138,10 @@ def test_filter_plain_callable_receives_partitions():
 
     listing = filter_partitions(9, record)
     assert all(type(p) is Partition for p in seen)
+    # every Partition handed out keeps its own tuples: none shares the
+    # lists that the enumerator went on changing after the call
+    assert all(type(p.parts) is tuple and type(p.mults) is tuple for p in seen)
+    assert all(p.size == 9 for p in seen)
     assert seen == list(partitions_of(9))
     assert list(listing) == [p for p in seen if p.dimension == 2]
 

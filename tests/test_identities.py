@@ -3,6 +3,7 @@
 import pytest
 
 from tripart import Branch, Partition, apply_t0, apply_t1, apply_td, builtin, parse_set_expression
+from tripart.core import InputError
 from tripart.enumeration import DeskCeilingError, filter_partitions
 from tripart.identities import (
     BranchMismatchError,
@@ -124,6 +125,27 @@ def test_cylinder_theorems_step_slice():
     assert len(one.checks) == 4
     assert len(two.checks) == 4
     assert one.passed and two.passed
+    assert [check.label for check in one.checks] == [
+        "Delta00 = T0Delta00", "Delta01 = T0Delta01",
+        "Delta10 = T1Delta10", "Delta11 = T1Delta11",
+    ]
+    assert [check.label for check in two.checks] == [
+        "Delta00 = T0T0Delta00", "Delta01 = T1T0Delta01",
+        "Delta10 = T0T1Delta10", "Delta11 = T1T1Delta11",
+    ]
+    # each slice is the full report restricted to its own columns and checks
+    both = verify_cylinder_theorems(15)
+    for part in (one, two):
+        keep = [both.columns.index(name) for name in part.columns]
+        assert part.rows == tuple(tuple(row[i] for i in keep) for row in both.rows)
+        assert part.checks == tuple(c for c in both.checks if c in part.checks)
+    assert both.checks == tuple(c for pair in zip(one.checks, two.checks) for c in pair)
+
+
+@pytest.mark.parametrize("steps", [0, 3, -1])
+def test_cylinder_theorems_reject_other_step_counts(steps):
+    with pytest.raises(InputError, match=rf"got {steps}$"):
+        verify_cylinder_theorems(8, steps=steps)
 
 
 def test_gauss_theorem():

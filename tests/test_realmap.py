@@ -101,11 +101,59 @@ def test_cf_digits_match_euclid():
         assert got == want, (p, q)
 
 
+def test_cf_digits_match_euclid_on_rationals():
+    # non-integer inputs with different denominators, as the benchmark draws
+    assert cf_digits_via_map(F(413, 79), F(7, 3)) == oracles.euclid_cf(79, 177) == [2, 4, 6, 3]
+    rng = random.Random(29)
+    for _ in range(200):
+        # x2/x1 has a denominator below 10**4, so its digits sum to less
+        # than the default step budget and the walk reaches the diagonal
+        x1, x2 = (F(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(2))
+        if x1 == x2:
+            continue
+        x1, x2 = max(x1, x2), min(x1, x2)
+        ratio = x2 / x1
+        got = oracles.canonical_cf(cf_digits_via_map(x1, x2))
+        want = oracles.canonical_cf(oracles.euclid_cf(ratio.numerator, ratio.denominator))
+        assert got == want, (x1, x2)
+
+
+def test_cf_digits_ignore_a_common_scale():
+    rng = random.Random(31)
+    for _ in range(100):
+        x2 = F(rng.randint(1, 999), rng.randint(1, 999))
+        x1 = x2 + F(rng.randint(1, 999), rng.randint(1, 999))
+        c = F(rng.randint(1, 999), rng.randint(1, 999))
+        assert cf_digits_via_map(c * x1, c * x2) == cf_digits_via_map(x1, x2), (x1, x2, c)
+
+
 def test_cf_budget_returns_prefix():
     digits = cf_digits_via_map(89, 55, max_steps=3)
     full = cf_digits_via_map(89, 55)
     assert digits == full[: len(digits)]
     assert len(digits) < len(full)
+    x1, x2 = F(413, 79), F(7, 3)
+    full = cf_digits_via_map(x1, x2)
+    steps, _ = orbit(ConePoint((x1, x2)), 10_000)
+    for budget in range(len(steps) + 1):
+        digits = cf_digits_via_map(x1, x2, max_steps=budget)
+        assert digits == full[: len(digits)], budget
+        assert len(digits) < len(full), budget
+    assert cf_digits_via_map(x1, x2, max_steps=len(steps) + 1) == full
+
+
+def test_int_coordinates_stay_ints():
+    ints, fractions = ConePoint((7, 2)), ConePoint((F(7), F(2)))
+    assert all(type(c) is int for c in ints.coords)
+    assert ints == fractions
+    assert hash(ints) == hash(fractions)
+    assert str(ints) == str(fractions) == "7,2"
+    int_steps, int_stop = orbit(ints, 50)
+    fraction_steps, fraction_stop = orbit(fractions, 50)
+    assert int_stop and fraction_stop
+    assert [cls for cls, _ in int_steps] == [cls for cls, _ in fraction_steps]
+    assert [str(x) for _, x in int_steps] == [str(x) for _, x in fraction_steps]
+    assert all(type(c) is int for _, x in int_steps for c in x.coords)
 
 
 def test_orbit_stops_on_diagonal_or_budget():
