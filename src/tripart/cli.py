@@ -340,16 +340,16 @@ def _cmd_certify(args):
     return 0, "\n".join(lines) + "\n"
 
 
-# series name -> qseries function, looked up when the command runs
-_SERIES = {"P": "expand_partition_gf", "divisor": "divisor_series",
-           "odd-divisor": "odd_divisor_series"}
+# series name -> qseries function
+_SERIES = {"P": qseries.expand_partition_gf, "divisor": qseries.divisor_series,
+           "odd-divisor": qseries.odd_divisor_series}
 
 
 def _cmd_series(args):
     _check_ceiling(args.N, args.desk_ceiling)
     name = args.series
     if name in _SERIES:
-        series = getattr(qseries, _SERIES[name])(args.N)
+        series = _SERIES[name](args.N)
     else:
         series = qseries.set_series(_resolve_predicate(name), args.N)
     return 0, _render_series(name, series, args.format)
@@ -390,6 +390,11 @@ def _int_at_least(low: int):
     return parse
 
 
+# the k-th sets action reads the first k positionals; main() checks it
+_SETS_ACTIONS = ("list", "show", "eval")
+_SETS_POSITIONALS = ("a set name", "a partition literal")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripart",
@@ -425,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_orbit)
 
     p = sub.add_parser("sets", parents=[common], help="inspect named sets")
-    p.add_argument("action", choices=("list", "show", "eval"))
+    p.add_argument("action", choices=_SETS_ACTIONS)
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("partition", nargs="?", default=None)
     p.set_defaults(fn=_cmd_sets)
@@ -466,18 +471,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format == "table":
-        args.format = "text"
     if args.command == "sets":
-        if args.action in ("show", "eval") and args.name is None:
-            parser.error(f"sets {args.action} needs a set name")
-        if args.action == "eval" and args.partition is None:
-            parser.error("sets eval needs a partition literal")
-        # list reads no positional and show reads only the name
-        unread = {"list": (args.name, args.partition), "show": (args.partition,)}
-        extra = [v for v in unread.get(args.action, ()) if v is not None]
-        if extra:
-            parser.error("unrecognized arguments: " + " ".join(extra))
+        given = [v for v in (args.name, args.partition) if v is not None]
+        reads = _SETS_ACTIONS.index(args.action)
+        if len(given) < reads:
+            parser.error(f"sets {args.action} needs {_SETS_POSITIONALS[len(given)]}")
+        if len(given) > reads:
+            parser.error("unrecognized arguments: " + " ".join(given[reads:]))
     try:
         code, output = args.fn(args)
         _emit(output, args.out)

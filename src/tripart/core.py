@@ -152,10 +152,10 @@ class Partition:
                 f"{len(parts)} parts but {len(mults)} multiplicities"
             )
         for v in parts:
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise NonPositiveEntryError(f"part {v!r} is not a positive integer")
         for k in mults:
-            if not isinstance(k, int) or k < 1:
+            if type(k) is not int or k < 1:
                 raise NonPositiveEntryError(
                     f"multiplicity {k!r} is not a positive integer"
                 )
@@ -175,7 +175,7 @@ class Partition:
         """
         seq = list(parts_with_repeats)
         for v in seq:
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise NonPositiveEntryError(f"part {v!r} is not a positive integer")
         for a, b in zip(seq, seq[1:]):
             if a < b:

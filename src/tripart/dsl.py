@@ -113,24 +113,17 @@ Node = Lit | Cmp | Parity | Not | And | Or | Quant
 
 # --- reference evaluation ---------------------------------------------
 
-def _position(sym: Sym, m: int, i: int | None) -> int | None:
-    idx = sym.index
-    j = i if idx == "bound" else idx if idx > 0 else m + 1 + idx
-    if j is None or j < 1 or j > m:
-        return None
-    return j - 1
-
-
 def _sym_value(sym: Sym, L, K, m: int, i: int | None) -> int | None:
     """A symbol's value, or None when it is out of range or unbound."""
     if sym.kind == "dim":
         return m
     if sym.kind == "idx":
         return i
-    pos = _position(sym, m, i)
-    if pos is None:
+    idx = sym.index
+    j = i if idx == "bound" else idx if idx > 0 else m + 1 + idx
+    if j is None or j < 1 or j > m:
         return None
-    return L[pos] if sym.kind == "L" else K[pos]
+    return L[j - 1] if sym.kind == "L" else K[j - 1]
 
 
 def _lin_value(expr: LinExpr, L, K, m: int, i: int | None) -> int | None:
@@ -460,8 +453,6 @@ _KEYWORDS = {
     "and", "or", "not", "forall", "exists", "odd", "even", "true", "false",
 }
 
-_REL_OPS = {"<", "<=", "=", ">=", ">"}
-
 _SYM_RE = re.compile(rf"^([LK])(\d+|{'|'.join(_POSITION_WORDS)})?$")
 
 
@@ -613,7 +604,7 @@ class _Parser:
 
     def parse_cmp(self) -> Node:
         lhs = self.parse_sum()
-        if not self.at("op", *_REL_OPS):
+        if not self.at("op", *_CMP):
             self.fail("expected a comparison operator")
         op = self.advance()[1]
         return Cmp(lhs, op, self.parse_sum())

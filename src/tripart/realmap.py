@@ -105,24 +105,27 @@ def orbit(
     return steps, False
 
 
-def cf_digits_via_map(x1, x2, max_steps: int = 10_000) -> list[int]:
+def cf_digits_via_map(x1, x2, max_steps: int | None = None) -> list[int]:
     """Continued-fraction digits of x2/x1 read off the slow map.
 
     Each maximal run of r second-branch steps closed by a first-branch
     step contributes the digit r + 1.  A rational ratio reaches the
     diagonal, where the remaining ratio is exactly one half; the
-    pending run then closes with digit r + 2.  If the step budget runs
-    out first, the digits collected so far (a prefix) are returned.
-    The walk starts from (x1, x2) times the lcm of their denominators,
-    an integer point with the same classes and digits.
+    pending run then closes with digit r + 2.  The walk starts from
+    (x1, x2) times the lcm of their denominators, an integer point
+    (a, b) with the same classes and digits.  Each step lowers the
+    coordinate sum by a positive integer, so by default the walk goes
+    to the diagonal, which it reaches within a + b steps.  Given a
+    ``max_steps`` that runs out first, it returns the digits collected
+    so far (a prefix).
     """
     x1, x2 = Fraction(x1), Fraction(x2)
     if not (x1 > x2 > 0):
         raise BadRatioError(f"need x1 > x2 > 0, got {x1}, {x2}")
     scale = lcm(x1.denominator, x2.denominator)
-    start = ConePoint((x1.numerator * (scale // x1.denominator),
-                       x2.numerator * (scale // x2.denominator)))
-    steps, on_diagonal = orbit(start, max_steps)
+    a = x1.numerator * (scale // x1.denominator)
+    b = x2.numerator * (scale // x2.denominator)
+    steps, on_diagonal = orbit(ConePoint((a, b)), a + b if max_steps is None else max_steps)
     digits: list[int] = []
     run = 0
     for cls, _ in steps:

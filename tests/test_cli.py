@@ -398,6 +398,22 @@ def test_sets_rejects_positionals_it_does_not_read(capsys):
     assert capsys.readouterr().out.startswith("E0: ")
 
 
+def test_sets_names_a_missing_positional(capsys):
+    # the k-th action of (list, show, eval) reads k positionals
+    for argv, message in ((["sets", "show"], "sets show needs a set name"),
+                          (["sets", "eval"], "sets eval needs a set name"),
+                          (["sets", "eval", "D"], "sets eval needs a partition literal"),
+                          (["sets", "eval", "D", "(1)x[1]", "extra"],
+                           "unrecognized arguments: extra")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("usage: tripart "), argv
+        assert err.endswith(f"tripart: error: {message}\n"), argv
+
+
 def test_verify_output_deterministic():
     first = run_cli("verify", "distinct", "--nmax", "10")
     second = run_cli("verify", "distinct", "--nmax", "10")

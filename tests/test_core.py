@@ -56,6 +56,12 @@ def test_validation_errors():
         make_partition([3, 2], [1, -1])
     with pytest.raises(NonPositiveEntryError):
         make_partition([3.5], [1])
+    # True == 1, but it prints as "True", which from_text cannot read back
+    for parts, mults in (([True], [3]), ([2], [True]), ([2, True], [1, 1])):
+        with pytest.raises(NonPositiveEntryError, match="True is not a positive integer"):
+            make_partition(parts, mults)
+    with pytest.raises(NonPositiveEntryError, match="part True is not"):
+        Partition.from_json({"parts": [True], "mults": [3]})
 
 
 def test_from_weak_sequence_examples():
@@ -69,6 +75,8 @@ def test_from_weak_sequence_errors():
         Partition.from_weak_sequence([1, 2])
     with pytest.raises(NonPositiveEntryError):
         Partition.from_weak_sequence([2, 0])
+    with pytest.raises(NonPositiveEntryError, match="part True is not"):
+        Partition.from_weak_sequence([2, True])
     with pytest.raises(EmptyPartitionError):
         Partition.from_weak_sequence([])
 

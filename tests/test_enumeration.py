@@ -170,6 +170,24 @@ def test_desk_ceiling():
     assert len(partitions_of(5, ceiling=5)) == 7
 
 
+def test_iter_partitions_checks_n_when_called():
+    # as iter_raw, partitions_of and filter_partitions do: before any next()
+    with pytest.raises(NonPositiveSizeError):
+        iter_partitions(0)
+    with pytest.raises(DeskCeilingError):
+        iter_partitions(61)
+    with pytest.raises(DeskCeilingError):
+        iter_partitions(5, ceiling=4)
+
+
+def test_bool_is_not_a_size():
+    # True == 1, but a listing of True would print as (True)x[True]
+    for call in (iter_raw, iter_partitions, partitions_of, count_partitions,
+                 lambda n: filter_partitions(n, TRUE)):
+        with pytest.raises(NonPositiveSizeError, match="got True"):
+            call(True)
+
+
 def test_streaming_generator():
     gen = iter_partitions(40)
     first = next(gen)

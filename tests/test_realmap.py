@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -107,7 +108,7 @@ def test_cf_digits_match_euclid_on_rationals():
     rng = random.Random(29)
     for _ in range(200):
         # x2/x1 has a denominator below 10**4, so its digits sum to less
-        # than the default step budget and the walk reaches the diagonal
+        # than 10**4 and the walk takes fewer steps than that
         x1, x2 = (F(rng.randint(1, 99), rng.randint(1, 99)) for _ in range(2))
         if x1 == x2:
             continue
@@ -116,6 +117,29 @@ def test_cf_digits_match_euclid_on_rationals():
         got = oracles.canonical_cf(cf_digits_via_map(x1, x2))
         want = oracles.canonical_cf(oracles.euclid_cf(ratio.numerator, ratio.denominator))
         assert got == want, (x1, x2)
+
+
+def test_cf_digits_walk_to_the_diagonal_by_default():
+    # walks of more than 10,000 steps: without a budget the walk goes
+    # to the diagonal however long it is
+    assert cf_digits_via_map(F(255, 169), F(940, 623)) == oracles.euclid_cf(31772, 31773)
+    for x1, x2 in ((F(12_345, 2), F(1, 2)), (F(10_001, 3), F(10_000, 3)),
+                   (F(9_999, 7), F(1, 11)), (20_001, 2)):
+        ratio = F(x2) / x1
+        want = oracles.euclid_cf(ratio.numerator, ratio.denominator)
+        assert sum(want) > 10_000, (x1, x2)
+        assert cf_digits_via_map(x1, x2) == want, (x1, x2)
+
+
+def test_integer_cone_orbits_reach_the_diagonal_within_their_sum():
+    # a step lowers the coordinate sum by the second or the last
+    # coordinate, a positive integer, so every integer point of the cone
+    # reaches the diagonal with a budget of its coordinate sum
+    for m in (2, 3, 4):
+        for coords in combinations(range(20, 0, -1), m):
+            steps, on_diagonal = orbit(ConePoint(coords), sum(coords))
+            assert on_diagonal, coords
+            assert len(steps) < sum(coords) - 2, coords
 
 
 def test_cf_digits_ignore_a_common_scale():

@@ -243,6 +243,18 @@ def test_orbit_examples():
     assert result.terminal.dimension == 1
 
 
+def test_orbit_ends_within_its_distinct_part_sum():
+    # T0, T1 and TD lower the sum of the distinct parts by L2, Llast and
+    # L1, so a budget of that sum less one reaches dimension one
+    for n in range(1, 26):
+        for p in iter_partitions(n):
+            result = orbit(p, sum(p.parts) - 1)
+            assert result.terminal.dimension == 1, p
+            distinct_sums = [sum(p.parts)] + [sum(s.image.parts) for s in result.steps]
+            assert all(a > b for a, b in zip(distinct_sums, distinct_sums[1:])), p
+            assert len(result.steps) <= max(n - 2, 0), p
+
+
 def test_orbit_rejects_negative_budget():
     with pytest.raises(ValueError):
         orbit(P("(2,1)x[1,1]"), -1)
