@@ -557,16 +557,18 @@ class _Parser:
             return Parity(sym, odd)
         if self.at("ident", "forall", "exists"):
             return self.parse_quant()
-        if self.resolve is not None and self.at("ident"):
-            text = self.peek()[1]
-            if (
-                text not in _KEYWORDS
-                and text != "dim"
-                and text != self.bound
-                and _SYM_RE.match(text) is None
-            ):
-                return self.parse_named_set()
+        if self.resolve is not None and self.at("ident") and self.names_set(self.peek()[1]):
+            return self.parse_named_set()
         return self.parse_cmp()
+
+    def names_set(self, text: str) -> bool:
+        """Whether an identifier names a set rather than a symbol: it is no
+        keyword, not ``dim``, not the bound index and no ``_SYM_RE`` match."""
+        return (
+            text not in _KEYWORDS
+            and text not in ("dim", self.bound)
+            and _SYM_RE.match(text) is None
+        )
 
     def parse_named_set(self) -> Node:
         _, name, where = self.advance()
@@ -638,16 +640,15 @@ class _Parser:
         kind, text, where = self.advance()
         if kind != "ident":
             raise DslSyntaxError(f"expected a symbol, got {text!r}", where)
+        if self.names_set(text):
+            raise UnknownSymbolError(f"unknown symbol {text!r}", where)
         if text in _KEYWORDS:
             raise DslSyntaxError(f"unexpected keyword {text!r}", where)
         if text == "dim":
             return Sym("dim")
         if text == self.bound:
             return Sym("idx")
-        m = _SYM_RE.match(text)
-        if m is None:
-            raise UnknownSymbolError(f"unknown symbol {text!r}", where)
-        base, rest = m.group(1), m.group(2)
+        base, rest = _SYM_RE.match(text).groups()
         if rest is None:
             if not self.at("op", "["):
                 raise UnknownSymbolError(

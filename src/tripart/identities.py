@@ -135,8 +135,11 @@ def _check(columns, relations, n_max: int, arithmetic=()) -> CountReport:
     asserts that the column named lhs equals the sum of the columns named
     in rhs.  Its first failing n is reported with both sides; when both
     sides are single set columns, the partitions on only one side are
-    named too.
+    named too.  An ``n_max`` below 1 is an :class:`InputError`: an empty
+    range would pass every relation vacuously.
     """
+    if n_max < 1:
+        raise InputError(f"n_max must be at least 1, got {n_max}")
     names = tuple(name for name, _ in (*columns, *arithmetic))
     where = {name: i for i, name in enumerate(names)}
     preds = [pred for _, pred in columns]

@@ -5,7 +5,8 @@ be computed along at least two independent routes: a truncated product
 or closed-form expansion here, and a brute-force count of the matching
 set (:func:`set_series`).  The test suite holds the routes equal
 coefficientwise; a closed form disagreeing with enumeration is a bug,
-never a tolerance.
+never a tolerance.  Every product, whether of factors (1 + q^e) or
+1/(1 - q^e), is multiplied out by :func:`expand_product` alone.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ class SeriesCoeffs:
         return {"order": self.order, "coeffs": list(self.coeffs)}
 
 
-def _mul_binomial(poly: list[int], e: int, N: int) -> None:
-    # poly *= (1 + q^e), in place
-    for j in range(N, e - 1, -1):
-        poly[j] += poly[j - e]
+def _check_order(N: int) -> None:
+    # every public series function truncates at a non-negative order
+    if N < 0:
+        raise InputError(f"truncation order N must be non-negative, got {N}")
 
 
 def expand_partition_gf(N: int) -> SeriesCoeffs:
@@ -67,19 +68,21 @@ def expand_product(factors: Iterable[tuple[int, int]], N: int) -> SeriesCoeffs:
 
     sign +1 multiplies by (1 + q^e); sign -1 multiplies by 1/(1 - q^e).
     Exponents must be positive; factors beyond the truncation order are
-    inert and simply skipped.
+    inert and simply skipped.  Any other sign is an :class:`InputError`.
     """
+    _check_order(N)
     c = [1] + [0] * N
     for sign, e in factors:
+        if sign not in (1, -1):
+            raise InputError(f"sign must be +1 or -1, got {sign}")
         if e < 1:
             raise InputError(f"exponent must be positive, got {e}")
         if e > N:
             continue
-        if sign > 0:
-            _mul_binomial(c, e, N)
-        else:
-            for j in range(e, N + 1):
-                c[j] += c[j - e]
+        # both factors add c[j - e] to c[j]: (1 + q^e) from the top down, so
+        # each term is counted once, 1/(1 - q^e) from the bottom up
+        for j in range(N, e - 1, -1) if sign > 0 else range(e, N + 1):
+            c[j] += c[j - e]
     return SeriesCoeffs(tuple(c))
 
 
@@ -95,6 +98,7 @@ def odd_parts_product(N: int) -> SeriesCoeffs:
 
 def _divisor_sieve(N: int, step: int) -> SeriesCoeffs:
     # c_n = number of divisors of n among 1, 1 + step, 1 + 2*step, ...
+    _check_order(N)
     c = [0] * (N + 1)
     for m in range(1, N + 1, step):
         for j in range(m, N + 1, m):
@@ -114,11 +118,12 @@ def odd_divisor_series(N: int) -> SeriesCoeffs:
 
 def ones_series(N: int) -> SeriesCoeffs:
     """1/(1-q): every coefficient 1, counting the family (n)x[1]."""
-    return SeriesCoeffs((1,) * (N + 1))
+    return expand_product([(-1, 1)], N)
 
 
 def multiples_series(step: int, N: int) -> SeriesCoeffs:
     """sum_k q^(step*k), k >= 1: indicator of positive multiples."""
+    _check_order(N)
     if step < 1:
         raise InputError("step must be positive")
     return SeriesCoeffs(tuple(1 if n and n % step == 0 else 0 for n in range(N + 1)))
@@ -131,6 +136,7 @@ def set_series(pred, N: int) -> SeriesCoeffs:
 
 def set_series_many(preds: Sequence, N: int) -> list[SeriesCoeffs]:
     """Enumeration-backed series for several sets in one pass."""
+    _check_order(N)
     if not all(isinstance(pred, SetPredicate) for pred in preds):
         raise TypeError("set_series needs SetPredicate instances")
     sweep = compile_columns(preds)
@@ -150,35 +156,23 @@ def expand_E_series(which: str, N: int) -> SeriesCoeffs:
 
     ED (both doubled): sum over s < v of q^(2s+2v) * prod_{s<j<v}(1+q^j).
     """
-    acc = [0] * (N + 1)
+    _check_order(N)
+    # each term: (base exponent, parts that may join once, whether the
+    # empty choice of them counts)
     if which == "E0":
-        prod = [1] + [0] * N  # prod_{j=1}^{v-1} (1+q^j), grown incrementally
-        for v in range(2, N // 2 + 1):
-            _mul_binomial(prod, v - 1, N)
-            base = 2 * v
-            for t in range(1, N - base + 1):
-                acc[base + t] += prod[t]
+        terms = ((2 * v, range(1, v), False) for v in range(2, N // 2 + 1))
     elif which == "E1":
-        for s in range(1, N // 2 + 1):
-            base = 2 * s
-            room = N - base
-            prod = [1] + [0] * room
-            for j in range(s + 1, room + 1):
-                _mul_binomial(prod, j, room)
-            for t in range(1, room + 1):
-                acc[base + t] += prod[t]
+        terms = ((2 * s, range(s + 1, N + 1), False) for s in range(1, N // 2 + 1))
     elif which == "ED":
-        for s in range(1, N // 4 + 1):
-            for v in range(s + 1, (N - 2 * s) // 2 + 1):
-                base = 2 * s + 2 * v
-                room = N - base
-                prod = [1] + [0] * room
-                for j in range(s + 1, min(v - 1, room) + 1):
-                    _mul_binomial(prod, j, room)
-                for t in range(0, room + 1):
-                    acc[base + t] += prod[t]
+        terms = ((2 * s + 2 * v, range(s + 1, v), True)
+                 for s in range(1, N // 4 + 1) for v in range(s + 1, (N - 2 * s) // 2 + 1))
     else:
         raise InputError(f"which must be E0, E1 or ED, got {which!r}")
+    acc = [0] * (N + 1)
+    for base, free, empty in terms:
+        prod = expand_product(((1, j) for j in free), N - base)
+        for t in range(0 if empty else 1, N - base + 1):
+            acc[base + t] += prod[t]
     return SeriesCoeffs(tuple(acc))
 
 
@@ -196,26 +190,20 @@ def support_series(
     factors encode.  This is the constrained-sum route for sets whose
     definition touches only the parts, independent of the enumerator.
     """
+    _check_order(N)
     acc = [0] * (N + 1)
 
-    def extend(poly: list[int], v: int) -> list[int]:
-        out = [0] * (N + 1)
-        for j in range(v, N + 1):
-            out[j] = poly[j - v] + out[j - v]
-        return out
-
-    def recurse(prefix: tuple[int, ...], poly: list[int], max_next: int) -> None:
-        depth = len(prefix)
+    def recurse(prefix: tuple[int, ...], max_next: int) -> None:
+        depth, base = len(prefix), sum(prefix)
         if depth >= min_dim and (max_dim is None or depth <= max_dim):
             if condition(prefix):
-                for j in range(N + 1):
-                    acc[j] += poly[j]
+                poly = expand_product(((-1, v) for v in prefix), N - base)
+                for t, c in enumerate(poly.coeffs):
+                    acc[base + t] += c
         if max_dim is not None and depth >= max_dim:
             return
-        budget = N - sum(prefix)
-        for v in range(min(max_next, budget), 0, -1):
-            recurse(prefix + (v,), extend(poly, v), v - 1)
+        for v in range(min(max_next, N - base), 0, -1):
+            recurse(prefix + (v,), v - 1)
 
-    unit = [1] + [0] * N
-    recurse((), unit, N)
+    recurse((), N)
     return SeriesCoeffs(tuple(acc))

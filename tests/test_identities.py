@@ -148,6 +148,25 @@ def test_cylinder_theorems_reject_other_step_counts(steps):
         verify_cylinder_theorems(8, steps=steps)
 
 
+_VERIFIERS = {
+    "euler": verify_euler_chain,
+    "distinct": verify_distinct_theorem,
+    "odd": verify_odd_theorem,
+    "cylinder": verify_cylinder_theorems,
+    "offset": lambda n: verify_offset_theorem(1, n),
+    "gauss": lambda n: verify_gauss_theorem(1, n),
+    # D = M0 is false, so a pass here could only be vacuous
+    "equicount": lambda n: verify_equicount(builtin("D"), builtin("M0"), n),
+}
+
+
+@pytest.mark.parametrize("name", _VERIFIERS)
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_empty_range_is_an_input_error(name, n_max):
+    with pytest.raises(InputError, match=rf"n_max must be at least 1, got {n_max}$"):
+        _VERIFIERS[name](n_max)
+
+
 def test_gauss_theorem():
     for d in (1, 2):
         report = verify_gauss_theorem(d, 25)

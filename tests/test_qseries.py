@@ -3,7 +3,7 @@
 import pytest
 
 from tripart import builtin, count_partitions, parse_predicate
-from tripart.core import ContractError
+from tripart.core import ContractError, InputError
 from tripart.identities import count_columns, count_set, odd_divisor_count
 from tripart.qseries import (
     distinct_parts_product,
@@ -45,6 +45,38 @@ def test_expand_product_distinct_and_odd():
     assert expand_product([(1, 6), (-1, 9)], 5).coeffs == (1, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         expand_product([(1, 0)], 5)
+
+
+_SERIES_OF_ORDER = {
+    "partition_gf": expand_partition_gf,
+    "distinct": distinct_parts_product,
+    "odd": odd_parts_product,
+    "divisor": divisor_series,
+    "odd_divisor": odd_divisor_series,
+    "ones": ones_series,
+    "product": lambda N: expand_product([(1, 1)], N),
+    "multiples": lambda N: multiples_series(3, N),
+    "set": lambda N: set_series(builtin("D"), N),
+    "set_many": lambda N: set_series_many([builtin("D"), builtin("O")], N)[1],
+    "E0": lambda N: expand_E_series("E0", N),
+    "support": lambda N: support_series(lambda parts: True, N),
+}
+
+
+@pytest.mark.parametrize("name", _SERIES_OF_ORDER)
+def test_negative_order_is_an_input_error(name):
+    series = _SERIES_OF_ORDER[name]
+    with pytest.raises(InputError, match="truncation order N must be non-negative, got -1$"):
+        series(-1)
+    assert len(series(0)) == 1
+
+
+@pytest.mark.parametrize("sign", [0, 2, 5, -2])
+def test_expand_product_rejects_other_signs(sign):
+    # also for a factor beyond the truncation order, which would be skipped
+    for e in (1, 9):
+        with pytest.raises(InputError, match=rf"sign must be \+1 or -1, got {sign}$"):
+            expand_product([(1, 2), (sign, e)], 5)
 
 
 def test_products_match_oracle_counts():
@@ -101,10 +133,11 @@ def test_disjoint_cover_sums_to_p():
 
 
 def test_e_series_closed_forms_match_enumeration():
-    for which in ("E0", "E1", "ED"):
-        closed = expand_E_series(which, 30)
-        counted = set_series(builtin(which), 30)
-        assert closed.coeffs == counted.coeffs, which
+    for N in (*range(25), 30):
+        for which in ("E0", "E1", "ED"):
+            closed = expand_E_series(which, N)
+            counted = set_series(builtin(which), N)
+            assert closed.coeffs == counted.coeffs, (which, N)
 
 
 def test_e_series_values():
@@ -145,10 +178,11 @@ def test_support_series_dimension_counts():
     # partitions; dimension one is the divisor series
     one = support_series(lambda parts: True, 30, min_dim=1, max_dim=1)
     assert one.coeffs == divisor_series(30).coeffs
-    for m in (2, 3):
-        series = support_series(lambda parts: True, 25, min_dim=m, max_dim=m)
-        dim_m = parse_predicate(f"dim = {m}")
-        assert series.coeffs == set_series(dim_m, 25).coeffs, m
+    for N in range(26):
+        for m in (1, 2, 3):
+            series = support_series(lambda parts: True, N, min_dim=m, max_dim=m)
+            dim_m = parse_predicate(f"dim = {m}")
+            assert series.coeffs == set_series(dim_m, N).coeffs, (m, N)
 
 
 def test_support_series_cone_sets():
