@@ -19,6 +19,10 @@ contract (any ``ContractError``, for example forcing the wrong branch
 of the map), 4 an internal fault (a bug), reported with its traceback
 on stderr.  The class of an error, not this module, decides between 2
 and 3.
+
+At the top level this module imports only what the parser needs
+(``core``, and ``enumeration`` for the desk ceiling); each command
+imports the modules it runs, so a process pays for no other.
 """
 
 from __future__ import annotations
@@ -29,21 +33,16 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
-from . import identities, qseries, realmap, sets, trimap
 from .core import ContractError, InputError, Partition
-from .dsl import DslError, SetPredicate
-from .enumeration import DESK_CEILING, filter_partitions, partitions_of
-from .identities import (
-    BranchMismatchError,
-    CountReport,
-    NotInjectiveError,
-    NotOntoError,
-)
-from .realmap import ConePoint
-from .sets import SetParameterError, UnknownSetError
+from .enumeration import DESK_CEILING
+
+if TYPE_CHECKING:  # for annotations only
+    from .dsl import SetPredicate
+    from .identities import CountReport
+    from .qseries import SeriesCoeffs
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -120,6 +119,9 @@ def _csv(header, rows):
 def _resolve_predicate(text: str) -> SetPredicate:
     """A set name from the registry, or predicate text (which may itself
     reference registered names)."""
+    from . import sets
+    from .dsl import DslError
+
     try:
         return sets.parse_set_expression(text)
     except DslError as exc:
@@ -168,7 +170,7 @@ def _render_report_csv(report: CountReport):
                 ([report.n_lo + offset, *row] for offset, row in enumerate(report.rows)))
 
 
-def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str):
+def _render_series(name: str, series: SeriesCoeffs, fmt: str):
     if fmt == "json":
         return _json({"name": name, **series.to_json()})
     if fmt == "csv":
@@ -182,6 +184,8 @@ def _render_series(name: str, series: qseries.SeriesCoeffs, fmt: str):
 # The output is a string or an iterable of text chunks; see _emit.
 
 def _cmd_enumerate(args):
+    from .enumeration import filter_partitions, partitions_of
+
     _check_ceiling(args.n, args.desk_ceiling)
     if args.filter is not None:
         pred = _resolve_predicate(args.filter)
@@ -195,29 +199,34 @@ def _cmd_enumerate(args):
     return 0, _lines(listing)
 
 
+# --branch value -> (label, trimap function name), looked up when it runs
 _BRANCHES = {
-    "t0": ("T0", trimap.apply_t0),
-    "t1": ("T1", trimap.apply_t1),
-    "td": ("TD", trimap.apply_td),
-    "t0inv": ("T0inv", trimap.apply_t0_inverse),
-    "t1inv": ("T1inv", trimap.apply_t1_inverse),
+    "t0": ("T0", "apply_t0"),
+    "t1": ("T1", "apply_t1"),
+    "td": ("TD", "apply_td"),
+    "t0inv": ("T0inv", "apply_t0_inverse"),
+    "t1inv": ("T1inv", "apply_t1_inverse"),
 }
 
 
 def _cmd_map(args):
+    from . import trimap
+
     p = Partition.from_text(args.partition)
     if args.branch == "auto":
         step = trimap.apply_t(p)
         branch, image = str(step.branch), step.image
     else:
         branch, fn = _BRANCHES[args.branch]
-        image = fn(p)
+        image = getattr(trimap, fn)(p)
     if args.format == "json":
         return 0, _json({"source": p, "branch": branch, "image": image})
     return 0, f"{p}  branch {branch}  ->  {image}\n"
 
 
 def _cmd_orbit(args):
+    from . import trimap
+
     result = trimap.orbit(Partition.from_text(args.partition), args.steps)
     if args.format == "json":
         return 0, _json({
@@ -232,6 +241,8 @@ def _cmd_orbit(args):
 
 
 def _cmd_sets(args):
+    from . import sets
+
     if args.action == "list":
         if args.format == "json":
             return 0, _json(sets.registry_json())
@@ -248,9 +259,9 @@ def _cmd_sets(args):
     if args.action == "show":
         try:
             pred = sets.builtin(args.name)
-        except SetParameterError:
+        except sets.SetParameterError:
             raise  # it names its reason
-        except UnknownSetError:
+        except sets.UnknownSetError:
             raise InputError(f"unknown set {args.name!r}")
         return 0, f"{args.name}: {pred.source()}\n"
     # eval
@@ -259,42 +270,47 @@ def _cmd_sets(args):
     return 0, ("true" if pred(p) else "false") + "\n"
 
 
-def _verify_equicount(args) -> list[tuple[str, CountReport]]:
+def _verify_equicount(ids, args) -> list[tuple[str, CountReport]]:
     if len(args.args) != 2:
         raise InputError("verify equicount needs exactly two set arguments")
     a, b = (_resolve_predicate(text) for text in args.args)
-    return [("equicount", identities.verify_equicount(a, b, args.nmax, names=tuple(args.args)))]
+    return [("equicount", ids.verify_equicount(a, b, args.nmax, names=tuple(args.args)))]
 
 
-def _verify_delta_m(args) -> list[tuple[str, CountReport]]:
+def _verify_delta_m(ids, args) -> list[tuple[str, CountReport]]:
+    from . import sets
+
     return [
-        (f"Delta{k} = M{k}", identities.verify_equicount(
+        (f"Delta{k} = M{k}", ids.verify_equicount(
             sets.builtin(f"Delta{k}"), sets.builtin(f"M{k}"), args.nmax, (f"Delta{k}", f"M{k}")))
         for k in (0, 1)
     ]
 
 
-# theorem name -> (function returning its labelled reports, whether it reads
-# --d); each function looks its verifier up on the identities module when it
-# runs.  equicount is last: the theorem help ends with its two set arguments.
+# theorem name -> (function of the identities module and the arguments that
+# returns the labelled reports, whether it reads --d); each function looks its
+# verifier up on the module when it runs.  equicount is last: the theorem help
+# ends with its two set arguments.
 _VERIFIERS = {
     "delta-m": (_verify_delta_m, False),
-    "offset": (lambda a: [(f"offset d={a.d}", identities.verify_offset_theorem(a.d, a.nmax))],
+    "offset": (lambda ids, a: [(f"offset d={a.d}", ids.verify_offset_theorem(a.d, a.nmax))],
                True),
-    "cylinder1": (lambda a: [
-        ("cylinder one-step", identities.verify_cylinder_theorems(a.nmax, steps=1))], False),
-    "cylinder2": (lambda a: [
-        ("cylinder two-step", identities.verify_cylinder_theorems(a.nmax, steps=2))], False),
-    "gauss": (lambda a: [(f"gauss d={a.d}", identities.verify_gauss_theorem(a.d, a.nmax))], True),
-    "distinct": (lambda a: [("distinct", identities.verify_distinct_theorem(a.nmax))], False),
-    "odd": (lambda a: [("odd", identities.verify_odd_theorem(a.nmax))], False),
-    "euler": (lambda a: [("euler", identities.verify_euler_chain(a.nmax))], False),
+    "cylinder1": (lambda ids, a: [
+        ("cylinder one-step", ids.verify_cylinder_theorems(a.nmax, steps=1))], False),
+    "cylinder2": (lambda ids, a: [
+        ("cylinder two-step", ids.verify_cylinder_theorems(a.nmax, steps=2))], False),
+    "gauss": (lambda ids, a: [(f"gauss d={a.d}", ids.verify_gauss_theorem(a.d, a.nmax))], True),
+    "distinct": (lambda ids, a: [("distinct", ids.verify_distinct_theorem(a.nmax))], False),
+    "odd": (lambda ids, a: [("odd", ids.verify_odd_theorem(a.nmax))], False),
+    "euler": (lambda ids, a: [("euler", ids.verify_euler_chain(a.nmax))], False),
     "equicount": (_verify_equicount, False),
 }
 _D_READERS = " and ".join(name for name, (_, reads_d) in _VERIFIERS.items() if reads_d)
 
 
 def _cmd_verify(args):
+    from . import identities
+
     _check_ceiling(args.nmax, args.desk_ceiling)
     name = args.theorem
     if name != "equicount" and args.args:
@@ -309,7 +325,7 @@ def _cmd_verify(args):
     elif args.d > args.nmax:
         # the offset sets and GaussG(d) have no member below n = d + 3
         raise InputError(f"--d {args.d} exceeds --nmax {args.nmax}; every count would be 0")
-    reports = verifier(args)
+    reports = verifier(identities, args)
     if args.format == "json":
         output = _json([{"name": label, **report.to_json()} for label, report in reports])
     elif args.format == "csv":
@@ -321,6 +337,8 @@ def _cmd_verify(args):
 
 
 def _cmd_certify(args):
+    from . import identities
+
     _check_ceiling(args.n, args.desk_ceiling)
     domain = _resolve_predicate(args.domain)
     codomain = _resolve_predicate(args.codomain)
@@ -330,7 +348,8 @@ def _cmd_certify(args):
             domain, codomain, route, args.n, names=(args.domain, args.codomain),
             ceiling=args.desk_ceiling,
         )
-    except (BranchMismatchError, NotInjectiveError, NotOntoError) as exc:
+    except (identities.BranchMismatchError, identities.NotInjectiveError,
+            identities.NotOntoError) as exc:
         return VERIFY_FAILURE, f"certification failed: {exc}\n"
     if args.format == "json":
         return 0, _json(cert)
@@ -340,25 +359,31 @@ def _cmd_certify(args):
     return 0, "\n".join(lines) + "\n"
 
 
-# series name -> qseries function
-_SERIES = {"P": qseries.expand_partition_gf, "divisor": qseries.divisor_series,
-           "odd-divisor": qseries.odd_divisor_series}
+# series name -> qseries function name, looked up when it runs
+_SERIES = {"P": "expand_partition_gf", "divisor": "divisor_series",
+           "odd-divisor": "odd_divisor_series"}
 
 
 def _cmd_series(args):
+    from . import qseries
+
     _check_ceiling(args.N, args.desk_ceiling)
     name = args.series
     if name in _SERIES:
-        series = _SERIES[name](args.N)
+        series = getattr(qseries, _SERIES[name])(args.N)
     else:
         series = qseries.set_series(_resolve_predicate(name), args.N)
     return 0, _render_series(name, series, args.format)
 
 
 def _cmd_realmap(args):
+    from fractions import Fraction
+
+    from . import realmap
+
     try:
         coords = tuple(Fraction(part) for part in args.point.split(","))
-        point = ConePoint(coords)
+        point = realmap.ConePoint(coords)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad cone point {args.point!r}: {exc}")
     steps, on_diagonal = realmap.orbit(point, args.steps)

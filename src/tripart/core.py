@@ -11,13 +11,14 @@ of the slow map on decreasing vectors are defined here too, and so are
 the two bases of the library's errors: ``InputError`` for input that is
 wrong and ``ContractError`` for an operation applied outside its
 contract.  The CLI maps the first to exit 2 and the second to exit 3.
+``Record`` is the base of ``Partition`` and of every other frozen value
+class in the package.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from itertools import groupby
 
 
@@ -123,22 +124,79 @@ _TEXT_TEMPLATES = _TextTemplates()
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 
 
-@dataclass(frozen=True)
-class Partition:
+class Record:
+    """Base of the package's frozen value classes, in place of ``@dataclass(frozen=True)``.
+
+    A subclass names its fields in ``__slots__`` and takes them, in that
+    order, in its own ``__init__``.  The base gives equality (same class,
+    equal fields), the hash of the field tuple, the dataclass repr
+    ``Name(field=value, ...)``, pickle and copy through ``__init__``,
+    :meth:`_replace`, and ``dataclasses.FrozenInstanceError`` on any
+    assignment.  Nothing is generated at import, so importing the package
+    does not import ``dataclasses``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, as ``dataclasses.replace`` makes."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # rebuild through __init__: restoring slot state would go through
+        # the frozen __setattr__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # only this error path needs the module
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class Partition(Record):
     """A partition as strictly decreasing parts with positive multiplicities.
 
     Construction validates; it never sorts or merges silently.  Use
     :meth:`from_weak_sequence` to normalize a plain non-increasing list
     of parts with repeats.  Instances have slots and no ``__dict__``:
     a listing of p(60) partitions keeps nearly a million of them, and
-    the two tuples are all that one holds.  The slots are declared here
-    rather than with ``slots=True``, which would replace the class and
-    leave the frozen ``__setattr__`` pointing at the old one.
+    the two tuples are all that one holds.  ``__init__``, ``__eq__`` and
+    ``__hash__`` are written out for speed; validation stays in
+    ``__post_init__``, which ``__init__`` calls.
     """
 
     __slots__ = ("parts", "mults")
-    parts: tuple[int, ...]
-    mults: tuple[int, ...]
+
+    def __init__(self, parts: tuple[int, ...], mults: tuple[int, ...]):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "mults", mults)
+        self.__post_init__()
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -165,6 +223,14 @@ class Partition:
                     f"parts must strictly decrease; saw {a} before {b}"
                     + (" (concatenate equal parts first)" if a == b else "")
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.parts, self.mults) == (other.parts, other.mults)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.mults))
 
     @classmethod
     def from_weak_sequence(cls, parts_with_repeats) -> "Partition":
@@ -236,11 +302,6 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition.from_text({str(self)!r})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: restoring slot state
-        # would go through the frozen __setattr__
-        return Partition, (self.parts, self.mults)
 
 
 def make_partition(parts, mults) -> Partition:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, NoReturn, Sequence
 
-from .core import InputError, Partition
+from .core import InputError, Partition, Record
 
 
 class DslError(InputError):
@@ -47,8 +46,7 @@ class UnknownSymbolError(DslError):
 
 # --- AST -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(Record):
     """An indexed symbol: a part, a multiplicity, ``dim`` or the bound index.
 
     ``index`` is a positive integer counted from the front (1 is the
@@ -57,55 +55,68 @@ class Sym:
     variable; it is None for kinds "dim" and "idx".
     """
 
-    kind: str
-    index: int | str | None = None
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int | str | None = None):
+        super().__init__(kind, index)
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(Record):
     """An integer-linear combination of symbols plus a constant."""
 
-    terms: tuple[tuple[int, Sym], ...]
-    const: int = 0
+    __slots__ = ("terms", "const")
+
+    def __init__(self, terms: tuple[tuple[int, Sym], ...], const: int = 0):
+        super().__init__(terms, const)
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: bool
+class Lit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    lhs: LinExpr
-    op: str
-    rhs: LinExpr
+class Cmp(Record):
+    __slots__ = ("lhs", "op", "rhs")
+
+    def __init__(self, lhs: LinExpr, op: str, rhs: LinExpr):
+        super().__init__(lhs, op, rhs)
 
 
-@dataclass(frozen=True)
-class Parity:
-    sym: Sym
-    odd: bool
+class Parity(Record):
+    __slots__ = ("sym", "odd")
+
+    def __init__(self, sym: Sym, odd: bool):
+        super().__init__(sym, odd)
 
 
-@dataclass(frozen=True)
-class Not:
-    item: "Node"
+class Not(Record):
+    __slots__ = ("item",)
+
+    def __init__(self, item: Node):
+        super().__init__(item)
 
 
-@dataclass(frozen=True)
-class And:
-    items: tuple["Node", ...]
+class And(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Node, ...]):
+        super().__init__(items)
 
 
-@dataclass(frozen=True)
-class Or:
-    items: tuple["Node", ...]
+class Or(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[Node, ...]):
+        super().__init__(items)
 
 
-@dataclass(frozen=True)
-class Quant:
-    forall: bool
-    body: "Node"
+class Quant(Record):
+    __slots__ = ("forall", "body")
+
+    def __init__(self, forall: bool, body: Node):
+        super().__init__(forall, body)
 
 
 Node = Lit | Cmp | Parity | Not | And | Or | Quant

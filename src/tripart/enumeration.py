@@ -19,10 +19,9 @@ so a partition the test rejects costs no tuples at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import InputError, Partition
+from .core import InputError, Partition, Record
 from .dsl import raw_test
 
 #: Largest n enumerated without an explicit override.  p(60) is just
@@ -39,12 +38,13 @@ class DeskCeilingError(InputError):
     """n exceeds the desk-scale ceiling and no override was given."""
 
 
-@dataclass(frozen=True)
-class PartitionList:
+class PartitionList(Record):
     """All partitions of ``n`` (possibly filtered), in canonical order."""
 
-    n: int
-    items: tuple[Partition, ...]
+    __slots__ = ("n", "items")
+
+    def __init__(self, n: int, items: tuple[Partition, ...]):
+        super().__init__(n, items)
 
     def __len__(self) -> int:
         return len(self.items)

@@ -13,10 +13,9 @@ in only one of the two sets, so a falsified claim is diagnosable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition
+from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition, Record
 from .dsl import SetPredicate, compile_columns, parse_predicate
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, delta0_offset, delta1_offset, gauss_set
@@ -39,17 +38,16 @@ class NotOntoError(ValueError):
     """The image set differs from the declared codomain."""
 
 
-@dataclass(frozen=True)
-class EqualityCheck:
+class EqualityCheck(Record):
     """One asserted per-n equality with its verdict."""
 
-    label: str
-    passed: bool
-    first_failure: int | None = None
-    lhs_count: int | None = None
-    rhs_count: int | None = None
-    only_lhs: tuple[Partition, ...] = ()
-    only_rhs: tuple[Partition, ...] = ()
+    __slots__ = ("label", "passed", "first_failure", "lhs_count", "rhs_count",
+                 "only_lhs", "only_rhs")
+
+    def __init__(self, label: str, passed: bool, first_failure: int | None = None,
+                 lhs_count: int | None = None, rhs_count: int | None = None,
+                 only_lhs: tuple[Partition, ...] = (), only_rhs: tuple[Partition, ...] = ()):
+        super().__init__(label, passed, first_failure, lhs_count, rhs_count, only_lhs, only_rhs)
 
     def to_json(self) -> dict:
         return {
@@ -63,16 +61,15 @@ class EqualityCheck:
         }
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     """Per-n counts of named sets plus equality verdicts."""
 
-    n_lo: int
-    n_hi: int
-    columns: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    checks: tuple[EqualityCheck, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("n_lo", "n_hi", "columns", "rows", "checks", "notes")
+
+    def __init__(self, n_lo: int, n_hi: int, columns: tuple[str, ...],
+                 rows: tuple[tuple[int, ...], ...], checks: tuple[EqualityCheck, ...],
+                 notes: tuple[str, ...] = ()):
+        super().__init__(n_lo, n_hi, columns, rows, checks, notes)
 
     @property
     def passed(self) -> bool:
@@ -175,7 +172,7 @@ def verify_equicount(a, b, n_max: int, names: tuple[str, str] = ("A", "B")) -> C
     """Check p_A(n) = p_B(n) for 1 <= n <= n_max."""
     # keyed apart, since the two names may be the same text
     report = _check([("A", a), ("B", b)], [(f"{names[0]} = {names[1]}", "A", ("B",))], n_max)
-    return replace(report, columns=tuple(names))
+    return report._replace(columns=tuple(names))
 
 
 def _offset_image0(d: int) -> SetPredicate:
@@ -186,6 +183,16 @@ def _offset_image1(d: int) -> SetPredicate:
     return parse_predicate(f"dim >= 2 and K1 < Klast and L1 = L2 + {d}")
 
 
+def _check_offset(d: int, n_max: int) -> None:
+    if d < 1:
+        raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
+    # the offset sets and GaussG(d) have no member below n = d + 3; an
+    # n_max below 1 is left to _check, which names it
+    if d > n_max >= 1:
+        raise InputError(f"d must not exceed n_max, got d={d} and n_max={n_max};"
+                         " every count would be 0")
+
+
 def verify_offset_theorem(d: int, n_max: int) -> CountReport:
     """Both halves of the offset identity for one d.
 
@@ -193,8 +200,7 @@ def verify_offset_theorem(d: int, n_max: int) -> CountReport:
     having K1 > Klast and Lsecondlast = Llast + d; partitions with
     L1 = L2 + Llast + d with those having K1 < Klast and L1 = L2 + d.
     """
-    if d < 1:
-        raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
+    _check_offset(d, n_max)
     off0, gap0, off1, gap1 = f"Delta0Off({d})", f"M0&gap({d})", f"Delta1Off({d})", f"M1&gap({d})"
     columns = [(off0, delta0_offset(d)), (gap0, _offset_image0(d)),
                (off1, delta1_offset(d)), (gap1, _offset_image1(d))]
@@ -248,8 +254,7 @@ def verify_gauss_theorem(d: int, n_max: int) -> CountReport:
     report notes the observed count of applicable members instead of
     asserting anything about that composite.
     """
-    if d < 1:
-        raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
+    _check_offset(d, n_max)
     band = f"GaussG({d})"
     shown = [(band, gauss_set(d))]
     shown += [(f"T1^{p}({band})", gauss_step_image(d, p)) for p in range(0, d + 1)]
@@ -264,8 +269,8 @@ def verify_gauss_theorem(d: int, n_max: int) -> CountReport:
         f"{sum(row[width + p] for row in report.rows)} applicable members for n <= {n_max}"
         for p in range(0, d)
     )
-    return replace(report, columns=report.columns[:width],
-                   rows=tuple(row[:width] for row in report.rows), notes=notes)
+    return report._replace(columns=report.columns[:width],
+                           rows=tuple(row[:width] for row in report.rows), notes=notes)
 
 
 def verify_distinct_theorem(n_max: int) -> CountReport:
@@ -294,15 +299,14 @@ def verify_euler_chain(n_max: int) -> CountReport:
     )
 
 
-@dataclass(frozen=True)
-class BijectionCertificate:
+class BijectionCertificate(Record):
     """An explicit size-preserving pairing between two sets at one n."""
 
-    n: int
-    domain_name: str
-    codomain_name: str
-    route: tuple
-    pairs: tuple[tuple[Partition, tuple[trimap.Branch, ...], Partition], ...]
+    __slots__ = ("n", "domain_name", "codomain_name", "route", "pairs")
+
+    def __init__(self, n: int, domain_name: str, codomain_name: str, route: tuple,
+                 pairs: tuple[tuple[Partition, tuple[trimap.Branch, ...], Partition], ...]):
+        super().__init__(n, domain_name, codomain_name, route, pairs)
 
     def to_json(self) -> dict:
         return {
@@ -372,7 +376,7 @@ def certify_bijection(
     branches = tuple(branch for _, branch, _ in steps)
     pairs = []
     # keyed on (parts, mults): tuples hash and compare in C, Partitions
-    # through the dataclass's Python __hash__ and __eq__
+    # through Partition's Python __hash__ and __eq__
     seen: dict[tuple, Partition] = {}
     for p in sources:
         current = p

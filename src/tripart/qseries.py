@@ -11,19 +11,20 @@ never a tolerance.  Every product, whether of factors (1 + q^e) or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import ContractError, InputError
+from .core import ContractError, InputError, Record
 from .enumeration import iter_raw
 from .dsl import SetPredicate, compile_columns
 
 
-@dataclass(frozen=True)
-class SeriesCoeffs:
+class SeriesCoeffs(Record):
     """Coefficients c0..cN of a truncated formal power series in q."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:
@@ -125,7 +126,7 @@ def multiples_series(step: int, N: int) -> SeriesCoeffs:
     """sum_k q^(step*k), k >= 1: indicator of positive multiples."""
     _check_order(N)
     if step < 1:
-        raise InputError("step must be positive")
+        raise InputError(f"step must be positive, got {step}")
     return SeriesCoeffs(tuple(1 if n and n % step == 0 else 0 for n in range(N + 1)))
 
 

@@ -20,12 +20,12 @@ digits are read off the integer multiple of the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .core import (
-    _DELTA0, _DELTA_D, ContractError, InputError, PartitionClass, _above, _below, classify_parts,
+    _DELTA0, _DELTA_D, ContractError, InputError, PartitionClass, Record, _above, _below,
+    classify_parts,
 )
 
 
@@ -41,8 +41,7 @@ class BadRatioError(InputError):
     """Digit extraction needs x1 > x2 > 0."""
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(Record):
     """A point of the cone: m >= 2 strictly decreasing positive rationals.
 
     An ``int`` coordinate stays an int and any other goes through
@@ -51,10 +50,10 @@ class ConePoint:
     same values as Fractions.
     """
 
-    coords: tuple[Fraction | int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in self.coords)
+    def __init__(self, coords: tuple[Fraction | int, ...]):
+        coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) < 2:
             raise ConePointError("a cone point needs at least two coordinates")

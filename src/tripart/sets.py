@@ -17,10 +17,9 @@ test suite rather than assumed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import InputError, _above, _below
+from .core import InputError, Record, _above, _below
 from .dsl import And, Cmp, LinExpr, Or, SetPredicate, Sym, _Parser, parse_predicate
 
 
@@ -40,15 +39,14 @@ class EmptyWordError(InputError):
     """Cylinder words need at least one letter."""
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(Record):
     """A named set: defining text per dimension regime, or one uniform form."""
 
-    name: str
-    dim2: str | None = None
-    dim3: str | None = None
-    uniform: str | None = None
-    note: str = ""
+    __slots__ = ("name", "dim2", "dim3", "uniform", "note")
+
+    def __init__(self, name: str, dim2: str | None = None, dim3: str | None = None,
+                 uniform: str | None = None, note: str = ""):
+        super().__init__(name, dim2, dim3, uniform, note)
 
     def combined_source(self) -> str:
         if self.uniform is not None:

@@ -24,10 +24,10 @@ dimension by one and is injective on parts but not on multiplicities.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .core import (
-    _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, InputError, Partition, _above, _below,
+    _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, InputError, Partition, Record, _above,
+    _below,
 )
 
 
@@ -56,22 +56,25 @@ class Branch(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class MapStep:
+class MapStep(Record):
     """One application of the map, with the branch that fired."""
 
-    source: Partition
-    branch: Branch
-    image: Partition
+    __slots__ = ("source", "branch", "image")
+
+    def __init__(self, source: Partition, branch: Branch, image: Partition):
+        # one per step of an orbit: set the fields here, not in a loop
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "image", image)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     """A forward orbit: steps chain until dimension one or the budget."""
 
-    start: Partition
-    steps: tuple[MapStep, ...]
-    terminal: Partition
+    __slots__ = ("start", "steps", "terminal")
+
+    def __init__(self, start: Partition, steps: tuple[MapStep, ...], terminal: Partition):
+        super().__init__(start, steps, terminal)
 
 
 def apply_t0(p: Partition) -> Partition:

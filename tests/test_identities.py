@@ -167,6 +167,16 @@ def test_empty_range_is_an_input_error(name, n_max):
         _VERIFIERS[name](n_max)
 
 
+@pytest.mark.parametrize("verify, d, n_max", [
+    (verify_offset_theorem, 5, 3), (verify_offset_theorem, 2, 1),
+    (verify_gauss_theorem, 4, 2), (verify_gauss_theorem, 3, 2),
+])
+def test_offset_above_n_max_is_an_input_error(verify, d, n_max):
+    # no member below n = d + 3, so every count would be 0 and the verdict vacuous
+    with pytest.raises(InputError, match=rf"got d={d} and n_max={n_max}; every count would be 0$"):
+        verify(d, n_max)
+
+
 def test_gauss_theorem():
     for d in (1, 2):
         report = verify_gauss_theorem(d, 25)

@@ -222,6 +222,12 @@ def test_series_arithmetic_guards():
     assert len(ones_series(3)) == 4
 
 
+@pytest.mark.parametrize("step", [0, -2])
+def test_multiples_series_names_a_bad_step(step):
+    with pytest.raises(InputError, match=rf"^step must be positive, got {step}$"):
+        multiples_series(step, 5)
+
+
 def test_series_json():
     payload = divisor_series(3).to_json()
     assert payload == {"order": 3, "coeffs": [0, 1, 2, 2]}
