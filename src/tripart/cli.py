@@ -6,8 +6,10 @@ or an iterable of text chunks, and ``main`` is the one writer: it
 writes the chunks to stdout or ``--out`` as they come.  Only rendering
 is lazy; every check, the parse of ``--filter`` and the enumeration run
 before the first byte, and before ``--out`` is opened.  ``enumerate``
-text and CSV leave in batches of ``_BATCH`` lines, one write each, and
-JSON in batches of ``_BATCH`` encoder pieces.  A reader that closes
+leaves in batches of ``_BATCH`` partitions, one write each, in every
+format, each partition filled into a template for its dimension; the
+other commands' JSON leaves in batches of ``_BATCH`` encoder pieces.
+A reader that closes
 stdout or an ``--out`` FIFO early (``tripart enumerate 40 | head -1``)
 is not a fault: the rest of the output is dropped and the command's own
 exit code stands, with nothing on stderr.
@@ -21,8 +23,9 @@ on stderr.  The class of an error, not this module, decides between 2
 and 3.
 
 At the top level this module imports only what the parser needs
-(``core``, and ``enumeration`` for the desk ceiling); each command
-imports the modules it runs, so a process pays for no other.
+(``core``, and ``enumeration`` for the desk ceiling, neither of which
+brings the predicate language); each command imports the modules it
+runs, so a process pays for no other.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import sys
 from itertools import chain, islice
 from typing import TYPE_CHECKING
 
-from .core import ContractError, InputError, Partition
+from .core import _TEXT_TEMPLATES, ContractError, InputError, Partition, _Templates
 from .enumeration import DESK_CEILING
 
 if TYPE_CHECKING:  # for annotations only
@@ -50,9 +53,10 @@ CONTRACT_VIOLATION = 3
 INTERNAL_ERROR = 4
 
 
-# Lines per chunk of streamed output.  Each chunk is one write, and with
-# PYTHONUNBUFFERED set each write is one pipe write, so writing line by
-# line would cost a system call per partition.
+# Partitions (or rows, or encoder pieces) per chunk of streamed output.
+# Each chunk is one write, and with PYTHONUNBUFFERED set each write is
+# one pipe write, so writing line by line would cost a system call per
+# partition.
 _BATCH = 2048
 
 
@@ -84,20 +88,14 @@ def _emit(output, out: str | None) -> None:
 
 def _json(payload):
     """``json.dumps(payload, indent=2)`` and a newline, in chunks of
-    ``_BATCH`` encoder pieces.  An object JSON cannot encode is replaced
-    by its own ``to_json()`` as the encoder reaches it, so a listing of
-    partitions is never copied whole into dicts."""
+    ``_BATCH`` encoder pieces, for every command but ``enumerate``,
+    whose listing fills per-dimension templates instead.  An object JSON
+    cannot encode is replaced by its own ``to_json()`` as the encoder
+    reaches it."""
     pieces = json.JSONEncoder(indent=2, default=lambda obj: obj.to_json()).iterencode(payload)
     while chunk := "".join(islice(pieces, _BATCH)):
         yield chunk
     yield "\n"
-
-
-def _lines(items):
-    """``str`` of each item on its own line, in chunks of ``_BATCH`` lines."""
-    items = iter(items)
-    while batch := list(islice(items, _BATCH)):
-        yield "\n".join(map(str, batch)) + "\n"
 
 
 def _csv(header, rows):
@@ -180,6 +178,50 @@ def _render_series(name: str, series: SeriesCoeffs, fmt: str):
     return "\n".join(lines) + "\n"
 
 
+# The templates of one listed partition, per dimension m.  csv.writer
+# quotes a row exactly when it holds a comma: from dimension 2 on.  The
+# JSON item is indented as json.dumps(..., indent=2) writes it among the
+# items of the enumerate payload, two levels deep.
+_LINE_TEMPLATES = _Templates(lambda m: _TEXT_TEMPLATES[m] + "\n")
+_CSV_TEMPLATES = _Templates(
+    lambda m: (_TEXT_TEMPLATES[m] if m == 1 else f'"{_TEXT_TEMPLATES[m]}"') + "\n")
+_JSON_ITEM_TEMPLATES = _Templates(lambda m: (
+    '    {{\n      "parts": [\n        {0}\n      ],\n      "mults": [\n        {0}\n      ]\n    }}'
+    .format(",\n        ".join(["%s"] * m))))
+
+
+def _render_listing(n: int, items, fmt: str):
+    """The ``enumerate`` output of a listing of n, each partition filled
+    into its dimension's template, in chunks of ``_BATCH`` partitions.
+
+    The same bytes as ``str`` per line, ``csv.writer`` or
+    ``json.dumps(..., indent=2)``: the head leaves with the first chunk
+    and the closing lines with the last.
+    """
+    templates, head, sep, tail = _LINE_TEMPLATES, "", "", ""
+    if fmt == "csv":
+        templates, head = _CSV_TEMPLATES, "partition\n"
+    elif fmt == "json":
+        head = f'{{\n  "n": {n},\n  "count": {len(items)},\n  "items": ['
+        if not items:
+            return head + "]\n}\n"
+        templates, head, sep, tail = _JSON_ITEM_TEMPLATES, head + "\n", ",\n", "\n  ]\n}\n"
+    if not items:
+        return head
+    return _filled(items, templates, head, sep, tail)
+
+
+def _filled(items, templates, head, sep, tail):
+    """``head``, the filled templates of ``items`` joined by ``sep``, and
+    ``tail``, in chunks of ``_BATCH`` items; no chunk is head or tail alone."""
+    batch = _BATCH
+    last = len(items) - batch
+    for start in range(0, len(items), batch):
+        chunk = sep.join([templates[len(p.parts)] % (p.parts + p.mults)
+                          for p in items[start:start + batch]])
+        yield (head if start == 0 else sep) + chunk + (tail if start >= last else "")
+
+
 # --- subcommands: each returns (exit code, output) -------------------------
 # The output is a string or an iterable of text chunks; see _emit.
 
@@ -192,11 +234,7 @@ def _cmd_enumerate(args):
         listing = filter_partitions(args.n, pred, ceiling=args.desk_ceiling)
     else:
         listing = partitions_of(args.n, ceiling=args.desk_ceiling)
-    if args.format == "json":
-        return 0, _json({"n": listing.n, "count": len(listing), "items": listing.items})
-    if args.format == "csv":
-        return 0, _csv(("partition",), ((str(p),) for p in listing))
-    return 0, _lines(listing)
+    return 0, _render_listing(listing.n, listing.items, args.format)
 
 
 # --branch value -> (label, trimap function name), looked up when it runs

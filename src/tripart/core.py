@@ -106,20 +106,26 @@ def _above(xs):
     return (xs[0] - xs[-1],) + xs[1:]
 
 
-class _TextTemplates(dict):
-    """Dimension m -> ``"(%s,...)x[%s,...]"`` with m slots in each bracket.
+class _Templates(dict):
+    """Dimension m -> ``build(m)``, a ``%s`` template with m slots for the
+    parts and then m for the multiplicities, built on first use.
 
-    Filling one template takes well under half the time of joining the
-    parts and multiplicities, and ``%s`` formats an int exactly as
-    ``str`` does.
+    Filling one template with ``parts + mults`` takes well under half the
+    time of joining the parts and multiplicities, and ``%s`` formats an
+    int exactly as ``str`` does.
     """
 
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
     def __missing__(self, m: int) -> str:
-        template = self[m] = "({0})x[{0}]".format(",".join(["%s"] * m))
+        template = self[m] = self._build(m)
         return template
 
 
-_TEXT_TEMPLATES = _TextTemplates()
+# "(%s,...)x[%s,...]" with m slots in each bracket
+_TEXT_TEMPLATES = _Templates(lambda m: "({0})x[{0}]".format(",".join(["%s"] * m)))
 
 _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 

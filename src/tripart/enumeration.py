@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .core import InputError, Partition, Record
-from .dsl import raw_test
 
 #: Largest n enumerated without an explicit override.  p(60) is just
 #: under a million partitions; anything bigger deserves a conscious
@@ -123,11 +122,21 @@ def _successors(n: int, test: Callable[[list, list, int], bool] | None = None):
 
 
 def _shared(pairs):
-    """Wrap each (parts, mults) pair, storing equal tuples once per call."""
-    wrap = Partition._wrap
+    """Wrap each (parts, mults) pair, storing equal tuples once per call.
+
+    Like ``Partition._wrap``, it builds without validating, but it sets
+    the two slots through their descriptors, which skips a method call
+    and two ``object.__setattr__`` lookups per partition.
+    """
+    new = object.__new__
+    set_parts = Partition.parts.__set__
+    set_mults = Partition.mults.__set__
     share = {}.setdefault
     for parts, mults in pairs:
-        yield wrap(share(parts, parts), share(mults, mults))
+        p = new(Partition)
+        set_parts(p, share(parts, parts))
+        set_mults(p, share(mults, mults))
+        yield p
 
 
 def iter_partitions(n: int, *, ceiling: int | None = None) -> Iterator[Partition]:
@@ -189,5 +198,7 @@ def filter_partitions(
     :func:`iter_partitions`.  ``ceiling`` overrides
     :data:`DESK_CEILING`, the largest n enumerated by default.
     """
+    from .dsl import raw_test  # only a filtered listing needs the predicate language
+
     _check_n(n, ceiling)
     return PartitionList(n, tuple(_shared(_successors(n, raw_test(pred)))))

@@ -1,7 +1,9 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import ast
+import csv
 import hashlib
+import io
 import importlib
 import json
 import os
@@ -12,10 +14,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import tripart
 from tripart import cli, core, dsl, enumeration, identities, realmap, sets, trimap
 from tripart.core import ContractError, InputError
+
+from strategies import partitions
 
 CMD = [sys.executable, "-m", "tripart.cli"]
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,14 +111,69 @@ class _CountingStdout:
 
 
 def test_enumerate_streams_in_batches(monkeypatch):
-    # p(30) = 5,604 lines leave in a few writes: never the whole listing
-    # in one, never a write per line
-    for fmt, lines in (("text", 5604), ("csv", 5605)):
+    # p(30) = 5,604 partitions leave in a few writes: never the whole
+    # listing in one, never a write per line, one write per batch of
+    # partitions, and no write that is only a head or a tail
+    for fmt, lines in (("text", 5604), ("csv", 5605), ("json", 79680)):
         fake = _CountingStdout()
         monkeypatch.setattr(sys, "stdout", fake)
         assert cli.main(["enumerate", "30", "--format", fmt]) == 0
         assert 1 < len(fake.writes) <= lines // 1000, fmt
+        assert len(fake.writes) == -(-5604 // cli._BATCH), fmt
+        assert all(write.count("\n") > 1 for write in fake.writes), fmt
         assert "".join(fake.writes).count("\n") == lines, fmt
+
+
+def _reference_enumerate(n, listing, fmt):
+    """What ``enumerate`` printed through ``str``, ``csv.writer`` and ``json.dumps``."""
+    if fmt == "json":
+        payload = {"n": n, "count": len(listing), "items": [p.to_json() for p in listing]}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([("partition",)] + [(str(p),) for p in listing])
+        return buf.getvalue()
+    return "".join(str(p) + "\n" for p in listing)
+
+
+def test_enumerate_matches_the_reference_renderers(monkeypatch, capsys):
+    # a small batch so that batch boundaries fall inside each listing
+    monkeypatch.setattr(cli, "_BATCH", 7)
+    empty = 0
+    for n in range(1, 13):
+        for extra in ([], ["--filter", "Delta01"], ["--filter", "dim>=9"]):
+            if extra:
+                listing = enumeration.filter_partitions(n, cli._resolve_predicate(extra[1]))
+            else:
+                listing = enumeration.partitions_of(n)
+            empty += len(listing) == 0
+            for fmt in ("text", "table", "csv", "json"):
+                assert cli.main(["enumerate", str(n), "--format", fmt, *extra]) == 0
+                out, err = capsys.readouterr()
+                assert (out, err) == (_reference_enumerate(n, listing, fmt), ""), (n, extra, fmt)
+    assert empty == 12 + 7  # dim>=9 at every n; Delta01 at n <= 6 and n = 8
+    # csv.writer quotes only the rows that hold a comma, from dimension 2 on
+    assert cli.main(["enumerate", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == 'partition\n(3)x[1]\n"(2,1)x[1,1]"\n(1)x[3]\n'
+    assert cli.main(["enumerate", "3", "--format", "json", "--filter", "dim>=9"]) == 0
+    assert capsys.readouterr().out == '{\n  "n": 3,\n  "count": 0,\n  "items": []\n}\n'
+
+
+@given(st.one_of(partitions(), partitions(max_part=60, max_len=24),
+                 partitions(max_part=10**6, max_len=16)))
+def test_listing_templates_match_csv_writer_and_the_json_encoder(p):
+    # in dimensions 1 to 24, a filled CSV template is csv.writer's row, and
+    # a filled JSON item template is the encoder's text for p.to_json()
+    # where the enumerate payload puts its items
+    values = p.parts + p.mults
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((str(p),))
+    assert cli._CSV_TEMPLATES[p.dimension] % values == buf.getvalue()
+    assert cli._LINE_TEMPLATES[p.dimension] % values == str(p) + "\n"
+    head, tail = '{\n  "items": [\n', "\n  ]\n}"
+    text = json.dumps({"items": [p.to_json()]}, indent=2)
+    assert text.startswith(head) and text.endswith(tail)
+    assert cli._JSON_ITEM_TEMPLATES[p.dimension] % values == text[len(head):-len(tail)]
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])

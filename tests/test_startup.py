@@ -48,7 +48,7 @@ def test_submodules_the_package_used_to_load_still_resolve():
 
 def test_import_cli_loads_only_what_the_parser_needs():
     loaded = set(_loaded(_AFTER_IMPORT.format(module="tripart.cli")))
-    unwanted = {"dataclasses", "inspect", "tripart.identities", "tripart.qseries",
+    unwanted = {"dataclasses", "inspect", "tripart.dsl", "tripart.identities", "tripart.qseries",
                 "tripart.realmap", "tripart.trimap", "tripart.sets"}
     assert loaded & unwanted == set()
     assert {"tripart.core", "tripart.enumeration"} <= loaded
@@ -62,14 +62,14 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("tripart"))]))
 """
 
-_BASE = ["cli", "core", "dsl", "enumeration"]
+_BASE = ["cli", "core", "enumeration"]
 
 
 @pytest.mark.parametrize("command, modules", [
-    ("verify euler --nmax 5", _BASE + ["identities", "sets", "trimap"]),
-    ("series P --N 5", _BASE + ["qseries"]),
+    ("verify euler --nmax 5", _BASE + ["dsl", "identities", "sets", "trimap"]),
+    ("series P --N 5", _BASE + ["dsl", "qseries"]),
     ("enumerate 5", _BASE),
-    ("enumerate 5 --filter D", _BASE + ["sets"]),
+    ("enumerate 5 --filter D", _BASE + ["dsl", "sets"]),
     ("map (5,4,2)x[1,1,1]", _BASE + ["trimap"]),
     ("realmap orbit 7/2,1 --steps 3", _BASE + ["realmap"]),
 ])
