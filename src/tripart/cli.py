@@ -36,7 +36,7 @@ import io
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .core import _TEXT_TEMPLATES, ContractError, InputError, Partition, _Templates
@@ -53,7 +53,7 @@ CONTRACT_VIOLATION = 3
 INTERNAL_ERROR = 4
 
 
-# Partitions (or rows, or encoder pieces) per chunk of streamed output.
+# Partitions (or encoder pieces) per chunk of streamed output.
 # Each chunk is one write, and with PYTHONUNBUFFERED set each write is
 # one pipe write, so writing line by line would cost a system call per
 # partition.
@@ -98,20 +98,13 @@ def _json(payload):
     yield "\n"
 
 
-def _csv(header, rows):
-    """CSV text of a header row and then ``rows``, in chunks of ``_BATCH`` rows."""
+def _csv(header, rows) -> str:
+    """CSV text of a header row and then ``rows``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    rows = iter(rows)
-    while True:
-        writer.writerows(islice(rows, _BATCH))
-        chunk = buf.getvalue()
-        if not chunk:
-            return
-        yield chunk
-        buf.seek(0)
-        buf.truncate()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _resolve_predicate(text: str) -> SetPredicate:
@@ -161,11 +154,6 @@ def _render_report_text(report: CountReport) -> str:
         lines.append(f"note: {note}")
     lines.append("result: " + ("pass" if report.passed else "FAIL"))
     return "\n".join(lines) + "\n"
-
-
-def _render_report_csv(report: CountReport):
-    return _csv(["n", *report.columns],
-                ([report.n_lo + offset, *row] for offset, row in enumerate(report.rows)))
 
 
 def _render_series(name: str, series: SeriesCoeffs, fmt: str):
@@ -367,7 +355,9 @@ def _cmd_verify(args):
     if args.format == "json":
         output = _json([{"name": label, **report.to_json()} for label, report in reports])
     elif args.format == "csv":
-        output = chain.from_iterable(_render_report_csv(report) for _, report in reports)
+        output = "".join(_csv(["n", *report.columns],
+                              ([n, *row] for n, row in enumerate(report.rows, report.n_lo)))
+                         for _, report in reports)
     else:
         output = "\n".join(f"== {label} (n <= {args.nmax}) ==\n" + _render_report_text(report)
                            for label, report in reports)

@@ -30,6 +30,14 @@ class ContractError(ValueError):
     """An operation was applied outside its contract, e.g. the wrong map branch."""
 
 
+def check_whole(value, low: int, message: str, error=InputError) -> None:
+    """Raise ``error(message.format(value))`` unless ``value`` is an int,
+    not a bool, of at least ``low``: the one rule for every size, order,
+    offset, step budget and ceiling."""
+    if type(value) is not int or value < low:
+        raise error(message.format(value))
+
+
 class PartitionError(InputError):
     """Invalid partition data."""
 
@@ -247,8 +255,7 @@ class Partition(Record):
         """
         seq = list(parts_with_repeats)
         for v in seq:
-            if type(v) is not int or v < 1:
-                raise NonPositiveEntryError(f"part {v!r} is not a positive integer")
+            check_whole(v, 1, "part {!r} is not a positive integer", NonPositiveEntryError)
         for a, b in zip(seq, seq[1:]):
             if a < b:
                 raise NotSortedError(f"sequence must be non-increasing; saw {a} before {b}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .core import InputError, Partition, Record
+from .core import InputError, Partition, Record, check_whole
 
 #: Largest n enumerated without an explicit override.  p(60) is just
 #: under a million partitions; anything bigger deserves a conscious
@@ -34,7 +34,7 @@ class NonPositiveSizeError(InputError):
 
 
 class DeskCeilingError(InputError):
-    """n exceeds the desk-scale ceiling and no override was given."""
+    """n exceeds the ceiling in force, or a given ceiling is not a positive integer."""
 
 
 class PartitionList(Record):
@@ -55,14 +55,13 @@ class PartitionList(Record):
         return self.items[i]
 
 
-def _check_positive(n: int) -> None:
-    if type(n) is not int or n < 1:
-        raise NonPositiveSizeError(f"n must be a positive integer, got {n!r}")
+_SIZE = "n must be a positive integer, got {!r}"
 
 
 def _check_n(n: int, ceiling: int | None) -> None:
-    _check_positive(n)
+    check_whole(n, 1, _SIZE, NonPositiveSizeError)
     limit = DESK_CEILING if ceiling is None else ceiling
+    check_whole(limit, 1, "ceiling must be a positive integer, got {!r}", DeskCeilingError)
     if n > limit:
         raise DeskCeilingError(
             f"n={n} exceeds the desk ceiling {limit}; pass a larger ceiling to override"
@@ -76,7 +75,7 @@ def iter_raw(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     Partition objects are built: this is the hot path that the
     verification engine runs millions of times.
     """
-    _check_positive(n)
+    check_whole(n, 1, _SIZE, NonPositiveSizeError)
     return _successors(n)
 
 
@@ -165,7 +164,7 @@ _pcache = [1]  # p(0) = 1
 
 def count_partitions(n: int) -> int:
     """p(n) by the pentagonal-number recurrence, independent of the enumerator."""
-    _check_positive(n)
+    check_whole(n, 1, _SIZE, NonPositiveSizeError)
     while len(_pcache) <= n:
         j = len(_pcache)
         total = 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition, Record
+from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition, Record, check_whole
 from .dsl import SetPredicate, compile_columns, parse_predicate
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, delta0_offset, delta1_offset, gauss_set
@@ -123,6 +123,9 @@ def _builtins(*names: str) -> list:
     return [(name, builtin(name)) for name in names]
 
 
+_N_MAX = "n_max must be at least 1, got {!r}"
+
+
 def _check(columns, relations, n_max: int, arithmetic=()) -> CountReport:
     """Count the set columns, then test every relation for 1 <= n <= n_max.
 
@@ -135,8 +138,7 @@ def _check(columns, relations, n_max: int, arithmetic=()) -> CountReport:
     named too.  An ``n_max`` below 1 is an :class:`InputError`: an empty
     range would pass every relation vacuously.
     """
-    if n_max < 1:
-        raise InputError(f"n_max must be at least 1, got {n_max}")
+    check_whole(n_max, 1, _N_MAX)
     names = tuple(name for name, _ in (*columns, *arithmetic))
     where = {name: i for i, name in enumerate(names)}
     preds = [pred for _, pred in columns]
@@ -184,11 +186,10 @@ def _offset_image1(d: int) -> SetPredicate:
 
 
 def _check_offset(d: int, n_max: int) -> None:
-    if d < 1:
-        raise NonPositiveOffsetError(f"d must be >= 1, got {d}")
-    # the offset sets and GaussG(d) have no member below n = d + 3; an
-    # n_max below 1 is left to _check, which names it
-    if d > n_max >= 1:
+    check_whole(d, 1, "d must be >= 1, got {!r}", NonPositiveOffsetError)
+    check_whole(n_max, 1, _N_MAX)
+    # the offset sets and GaussG(d) have no member below n = d + 3
+    if d > n_max:
         raise InputError(f"d must not exceed n_max, got d={d} and n_max={n_max};"
                          " every count would be 0")
 
@@ -216,7 +217,7 @@ def verify_cylinder_theorems(n_max: int, steps: int | None = None) -> CountRepor
     branches applied, last first: ``T1T0Delta01`` for two steps on 01.
     Any other ``steps`` raises :class:`~tripart.core.InputError`.
     """
-    if steps not in (None, 1, 2):
+    if steps is not None and (type(steps) is not int or steps not in (1, 2)):
         raise InputError(f"steps must be 1 or 2, or None for both; got {steps!r}")
     wanted = (1, 2) if steps is None else (steps,)
     columns, relations = [], []
@@ -340,16 +341,18 @@ _ROUTE_TEXT = {"0": 0, "1": 1, "d": "D", "D": "D"}
 def parse_route(text: str) -> tuple:
     """Parse a route word like "0", "01" or "d" into route letters."""
     route = tuple(_ROUTE_TEXT.get(ch, ch) for ch in text)
-    _check_route(route)
+    _route_steps(route)
     if not route:
         raise InputError("empty route")
     return route
 
 
-def _check_route(route: tuple) -> None:
+def _route_steps(route: tuple) -> list:
+    """Each letter's ``_ROUTE`` entry; by exact type, so True and 1.0 are no letters."""
     for letter in route:
-        if letter not in _ROUTE:
+        if type(letter) not in (int, str) or letter not in _ROUTE:
             raise InputError(f"route letters are 0, 1 or d; got {letter!r}")
+    return [_ROUTE[letter] for letter in route]
 
 
 def certify_bijection(
@@ -369,8 +372,7 @@ def certify_bijection(
     :func:`~tripart.enumeration.filter_partitions` for both sets.
     """
     route = tuple(route)
-    _check_route(route)
-    steps = [_ROUTE[letter] for letter in route]
+    steps = _route_steps(route)
     sources = filter_partitions(n, domain, ceiling=ceiling)
     target = filter_partitions(n, codomain, ceiling=ceiling)
     branches = tuple(branch for _, branch, _ in steps)

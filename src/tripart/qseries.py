@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .core import ContractError, InputError, Record
+from .core import ContractError, InputError, Record, check_whole
 from .enumeration import iter_raw
-from .dsl import SetPredicate, compile_columns
+from .dsl import compile_columns
 
 
 class SeriesCoeffs(Record):
@@ -50,10 +50,7 @@ class SeriesCoeffs(Record):
         return {"order": self.order, "coeffs": list(self.coeffs)}
 
 
-def _check_order(N: int) -> None:
-    # every public series function truncates at a non-negative order
-    if N < 0:
-        raise InputError(f"truncation order N must be non-negative, got {N}")
+_ORDER = "truncation order N must be non-negative, got {!r}"
 
 
 def expand_partition_gf(N: int) -> SeriesCoeffs:
@@ -61,6 +58,7 @@ def expand_partition_gf(N: int) -> SeriesCoeffs:
 
     Pure product expansion, independent of the enumerator.
     """
+    check_whole(N, 0, _ORDER)
     return expand_product(((-1, m) for m in range(1, N + 1)), N)
 
 
@@ -71,13 +69,12 @@ def expand_product(factors: Iterable[tuple[int, int]], N: int) -> SeriesCoeffs:
     Exponents must be positive; factors beyond the truncation order are
     inert and simply skipped.  Any other sign is an :class:`InputError`.
     """
-    _check_order(N)
+    check_whole(N, 0, _ORDER)
     c = [1] + [0] * N
     for sign, e in factors:
-        if sign not in (1, -1):
-            raise InputError(f"sign must be +1 or -1, got {sign}")
-        if e < 1:
-            raise InputError(f"exponent must be positive, got {e}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise InputError(f"sign must be +1 or -1, got {sign!r}")
+        check_whole(e, 1, "exponent must be positive, got {!r}")
         if e > N:
             continue
         # both factors add c[j - e] to c[j]: (1 + q^e) from the top down, so
@@ -89,17 +86,19 @@ def expand_product(factors: Iterable[tuple[int, int]], N: int) -> SeriesCoeffs:
 
 def distinct_parts_product(N: int) -> SeriesCoeffs:
     """prod_k (1 + q^k): counts partitions into distinct parts."""
+    check_whole(N, 0, _ORDER)
     return expand_product(((1, k) for k in range(1, N + 1)), N)
 
 
 def odd_parts_product(N: int) -> SeriesCoeffs:
     """prod_k 1/(1 - q^(2k+1)): counts partitions into odd parts."""
+    check_whole(N, 0, _ORDER)
     return expand_product(((-1, k) for k in range(1, N + 1, 2)), N)
 
 
 def _divisor_sieve(N: int, step: int) -> SeriesCoeffs:
     # c_n = number of divisors of n among 1, 1 + step, 1 + 2*step, ...
-    _check_order(N)
+    check_whole(N, 0, _ORDER)
     c = [0] * (N + 1)
     for m in range(1, N + 1, step):
         for j in range(m, N + 1, m):
@@ -124,9 +123,8 @@ def ones_series(N: int) -> SeriesCoeffs:
 
 def multiples_series(step: int, N: int) -> SeriesCoeffs:
     """sum_k q^(step*k), k >= 1: indicator of positive multiples."""
-    _check_order(N)
-    if step < 1:
-        raise InputError(f"step must be positive, got {step}")
+    check_whole(N, 0, _ORDER)
+    check_whole(step, 1, "step must be positive, got {!r}")
     return SeriesCoeffs(tuple(1 if n and n % step == 0 else 0 for n in range(N + 1)))
 
 
@@ -136,10 +134,9 @@ def set_series(pred, N: int) -> SeriesCoeffs:
 
 
 def set_series_many(preds: Sequence, N: int) -> list[SeriesCoeffs]:
-    """Enumeration-backed series for several sets in one pass."""
-    _check_order(N)
-    if not all(isinstance(pred, SetPredicate) for pred in preds):
-        raise TypeError("set_series needs SetPredicate instances")
+    """Series with c_0 = 0 for several sets in one enumeration pass; a set is a
+    ``SetPredicate`` or any ``Partition -> bool`` callable, as for ``count_columns``."""
+    check_whole(N, 0, _ORDER)
     sweep = compile_columns(preds)
     rows = [(0,) * len(preds)] + [sweep(iter_raw(n)) for n in range(1, N + 1)]
     return [SeriesCoeffs(col) for col in zip(*rows)]
@@ -157,7 +154,7 @@ def expand_E_series(which: str, N: int) -> SeriesCoeffs:
 
     ED (both doubled): sum over s < v of q^(2s+2v) * prod_{s<j<v}(1+q^j).
     """
-    _check_order(N)
+    check_whole(N, 0, _ORDER)
     # each term: (base exponent, parts that may join once, whether the
     # empty choice of them counts)
     if which == "E0":
@@ -191,7 +188,7 @@ def support_series(
     factors encode.  This is the constrained-sum route for sets whose
     definition touches only the parts, independent of the enumerator.
     """
-    _check_order(N)
+    check_whole(N, 0, _ORDER)
     acc = [0] * (N + 1)
 
     def recurse(prefix: tuple[int, ...], max_next: int) -> None:

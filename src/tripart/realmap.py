@@ -25,7 +25,7 @@ from math import lcm
 
 from .core import (
     _DELTA0, _DELTA_D, ContractError, InputError, PartitionClass, Record, _above, _below,
-    classify_parts,
+    check_whole, classify_parts,
 )
 
 
@@ -47,13 +47,13 @@ class ConePoint(Record):
     An ``int`` coordinate stays an int and any other goes through
     ``Fraction``, so an integer point walks the map in int arithmetic.
     Equality, hashing and ``str`` agree with the point built from the
-    same values as Fractions.
+    same values as Fractions.  A bool is no coordinate.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Fraction | int, ...]):
-        coords = tuple(c if type(c) in (int, Fraction) else Fraction(c) for c in coords)
+        coords = tuple(c if type(c) in (int, Fraction) else _rational(c) for c in coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) < 2:
             raise ConePointError("a cone point needs at least two coordinates")
@@ -71,6 +71,12 @@ class ConePoint(Record):
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.coords)
+
+
+def _rational(c) -> Fraction:
+    if type(c) is bool:
+        raise ConePointError(f"a coordinate must be a rational, not a bool; got {c!r}")
+    return Fraction(c)
 
 
 def classify_cone(x: ConePoint) -> PartitionClass:
@@ -93,7 +99,9 @@ def orbit(
 
     Returns the steps as ``(class, image)`` pairs and whether the walk
     stopped on the diagonal (rather than by running out of budget).
+    ``max_steps``, an int of at least 0, is checked when called.
     """
+    check_whole(max_steps, 0, "max_steps must be >= 0, got {!r}")
     steps: list[tuple[PartitionClass, ConePoint]] = []
     for _ in range(max_steps):
         cls = classify_cone(x)

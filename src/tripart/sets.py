@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from typing import Sequence
 
-from .core import InputError, Record, _above, _below
+from .core import InputError, Record, _above, _below, check_whole
 from .dsl import And, Cmp, LinExpr, Or, SetPredicate, Sym, _Parser, parse_predicate
 
 
@@ -146,15 +146,13 @@ def entry(name: str) -> RegistryEntry:
 
 def delta0_offset(d: int) -> SetPredicate:
     """Partitions with L2 + Llast exceeding L1 by exactly d (d >= 1)."""
-    if d < 1:
-        raise InputError("offset d must be >= 1")
+    check_whole(d, 1, "offset d must be >= 1, got {!r}")
     return parse_predicate(f"dim >= 2 and L2 + Llast = L1 + {d}")
 
 
 def delta1_offset(d: int) -> SetPredicate:
     """Partitions with L1 exceeding L2 + Llast by exactly d (d >= 1)."""
-    if d < 1:
-        raise InputError("offset d must be >= 1")
+    check_whole(d, 1, "offset d must be >= 1, got {!r}")
     return parse_predicate(f"dim >= 2 and L1 = L2 + Llast + {d}")
 
 
@@ -164,8 +162,7 @@ def gauss_set(d: int) -> SetPredicate:
     For d = 0 this degenerates to the below-diagonal cone, which is why
     iterating the second branch d times lands there.
     """
-    if d < 0:
-        raise InputError("d must be >= 0")
+    check_whole(d, 0, "d must be >= 0, got {!r}")
     return parse_predicate(
         f"dim >= 2 and L1 - L2 - {d}*Llast > 0 and L1 - L2 - {d + 1}*Llast < 0"
     )
@@ -259,7 +256,7 @@ def cylinder(word: Sequence[int]) -> SetPredicate:
     if not letters:
         raise EmptyWordError("cylinder words need at least one letter")
     for letter in letters:
-        if letter not in (0, 1):
+        if type(letter) is not int or letter not in (0, 1):
             raise InputError(f"cylinder letters must be 0 or 1, got {letter!r}")
     k = len(letters)
     syms = {j: Sym("L", j + 1) for j in range(k + 1)}

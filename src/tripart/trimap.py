@@ -26,8 +26,8 @@ from __future__ import annotations
 import enum
 
 from .core import (
-    _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, InputError, Partition, Record, _above,
-    _below,
+    _DELTA0, _DELTA1, _DELTA_D, _DIM1, ContractError, Partition, Record, _above, _below,
+    check_whole,
 )
 
 
@@ -147,9 +147,8 @@ def apply_t1_inverse(p: Partition) -> Partition:
 
 
 def orbit(p: Partition, max_steps: int) -> Orbit:
-    """Iterate the map until dimension one or the step budget runs out."""
-    if max_steps < 0:
-        raise InputError("max_steps must be >= 0")
+    """Iterate the map until dimension one or ``max_steps`` steps, an int >= 0 checked here."""
+    check_whole(max_steps, 0, "max_steps must be >= 0, got {!r}")
     steps: list[MapStep] = []
     current = p
     while len(steps) < max_steps and current.dimension >= 2:

@@ -118,8 +118,12 @@ def test_set_series_many_matches_count_columns():
     for j, column in enumerate(series):
         assert column.coeffs == (0,) + tuple(row[j] for row in rows)
     assert [s.coeffs for s in set_series_many(preds[:2], 0)] == [(0,), (0,)]
-    with pytest.raises(TypeError):
-        set_series_many([lambda p: True], 5)
+    # a plain callable is a set here too, as it is for count_columns
+    def two_parts(p):
+        return p.dimension == 2
+
+    [plain] = set_series_many([two_parts], 16)
+    assert plain.coeffs == (0,) + tuple(row[0] for row in count_columns([two_parts], 1, 16))
 
 
 def test_disjoint_cover_sums_to_p():
