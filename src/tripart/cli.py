@@ -281,7 +281,7 @@ def _cmd_sets(args):
             for row in rows
         )
         families = ", ".join(f"{family}(d)" for family in sets._FAMILIES)
-        return 0, f"{text}\n\nparameterized: {families} for d >= 1\n"
+        return 0, f"{text}\n\nparameterized: {families} for d >= {sets._FAMILY_LOW}\n"
     if args.action == "show":
         try:
             pred = sets.builtin(args.name)

@@ -141,9 +141,11 @@ _TEXT_RE = re.compile(r"^\((\d+(?:,\d+)*)\)\s*[x×]\s*\[(\d+(?:,\d+)*)\]$")
 class Record:
     """Base of the package's frozen value classes, in place of ``@dataclass(frozen=True)``.
 
-    A subclass names its fields in ``__slots__`` and takes them, in that
-    order, in its own ``__init__``.  The base gives equality (same class,
-    equal fields), the hash of the field tuple, the dataclass repr
+    A subclass names its fields once, in ``__slots__``, and a call binds
+    them as a dataclass does, by position or keyword, an omitted field
+    from the class's ``_defaults``, whose fields come last; any other call
+    is a ``TypeError`` naming the class.  The base gives equality (same
+    class, equal fields), the hash of the field tuple, the dataclass repr
     ``Name(field=value, ...)``, pickle and copy through ``__init__``,
     :meth:`_replace`, and ``dataclasses.FrozenInstanceError`` on any
     assignment.  Nothing is generated at import, so importing the package
@@ -151,10 +153,31 @@ class Record:
     """
 
     __slots__ = ()
+    _defaults: dict = {}
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
+    def __init__(self, *values, **named):
+        if named or len(values) != len(self.__slots__):
+            values = self._bind(values, named)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """The field values, in ``__slots__`` order, of any other call."""
+        names, label = cls.__slots__, cls.__name__
+        if len(values) > len(names):
+            raise TypeError(f"{label}() takes {len(names)} values but {len(values)} were given")
+        fields = {**cls._defaults, **dict(zip(names, values))}
+        for name, value in named.items():
+            if name not in names:
+                raise TypeError(f"{label}() got an unexpected keyword argument {name!r}")
+            if names.index(name) < len(values):
+                raise TypeError(f"{label}() got multiple values for argument {name!r}")
+            fields[name] = value
+        missing = [name for name in names if name not in fields]
+        if missing:
+            raise TypeError(f"{label}() missing a value for {', '.join(map(repr, missing))}")
+        return tuple([fields[name] for name in names])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

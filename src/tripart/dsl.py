@@ -52,71 +52,49 @@ class Sym(Record):
     ``index`` is a positive integer counted from the front (1 is the
     first part), a negative integer counted from the end (-1 is the
     last, -2 the second to last), or "bound" for the quantifier
-    variable; it is None for kinds "dim" and "idx".
+    variable; it is None, the default, for kinds "dim" and "idx".
     """
 
     __slots__ = ("kind", "index")
-
-    def __init__(self, kind: str, index: int | str | None = None):
-        super().__init__(kind, index)
+    _defaults = {"index": None}
 
 
 class LinExpr(Record):
-    """An integer-linear combination of symbols plus a constant."""
+    """The int-linear combination ``terms``, (int, Sym) pairs, plus the int ``const``, 0 by default."""
 
     __slots__ = ("terms", "const")
-
-    def __init__(self, terms: tuple[tuple[int, Sym], ...], const: int = 0):
-        super().__init__(terms, const)
+    _defaults = {"const": 0}
 
 
+# The nodes: Lit.value, Parity.odd and Quant.forall (False for exists) are
+# bools; Parity.sym is a Sym; Cmp compares the LinExprs lhs and rhs by an op
+# in _CMP; Not.item and Quant.body are nodes, And.items and Or.items tuples.
 class Lit(Record):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        super().__init__(value)
 
 
 class Cmp(Record):
     __slots__ = ("lhs", "op", "rhs")
 
-    def __init__(self, lhs: LinExpr, op: str, rhs: LinExpr):
-        super().__init__(lhs, op, rhs)
-
 
 class Parity(Record):
     __slots__ = ("sym", "odd")
-
-    def __init__(self, sym: Sym, odd: bool):
-        super().__init__(sym, odd)
 
 
 class Not(Record):
     __slots__ = ("item",)
 
-    def __init__(self, item: Node):
-        super().__init__(item)
-
 
 class And(Record):
     __slots__ = ("items",)
-
-    def __init__(self, items: tuple[Node, ...]):
-        super().__init__(items)
 
 
 class Or(Record):
     __slots__ = ("items",)
 
-    def __init__(self, items: tuple[Node, ...]):
-        super().__init__(items)
-
 
 class Quant(Record):
     __slots__ = ("forall", "body")
-
-    def __init__(self, forall: bool, body: Node):
-        super().__init__(forall, body)
 
 
 Node = Lit | Cmp | Parity | Not | And | Or | Quant

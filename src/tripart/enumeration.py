@@ -38,12 +38,9 @@ class DeskCeilingError(InputError):
 
 
 class PartitionList(Record):
-    """All partitions of ``n`` (possibly filtered), in canonical order."""
+    """All partitions of ``n`` (possibly filtered): ``items``, a tuple in canonical order."""
 
     __slots__ = ("n", "items")
-
-    def __init__(self, n: int, items: tuple[Partition, ...]):
-        super().__init__(n, items)
 
     def __len__(self) -> int:
         return len(self.items)

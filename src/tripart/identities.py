@@ -39,15 +39,14 @@ class NotOntoError(ValueError):
 
 
 class EqualityCheck(Record):
-    """One asserted per-n equality with its verdict."""
+    """One asserted per-n equality with its verdict.  A failure sets ``first_failure``,
+    the first failing n, and the int count of each side there; ``only_lhs`` and
+    ``only_rhs`` are tuples of the Partitions that lie in one side only."""
 
     __slots__ = ("label", "passed", "first_failure", "lhs_count", "rhs_count",
                  "only_lhs", "only_rhs")
-
-    def __init__(self, label: str, passed: bool, first_failure: int | None = None,
-                 lhs_count: int | None = None, rhs_count: int | None = None,
-                 only_lhs: tuple[Partition, ...] = (), only_rhs: tuple[Partition, ...] = ()):
-        super().__init__(label, passed, first_failure, lhs_count, rhs_count, only_lhs, only_rhs)
+    _defaults = {"first_failure": None, "lhs_count": None, "rhs_count": None,
+                 "only_lhs": (), "only_rhs": ()}
 
     def to_json(self) -> dict:
         return {
@@ -62,14 +61,12 @@ class EqualityCheck(Record):
 
 
 class CountReport(Record):
-    """Per-n counts of named sets plus equality verdicts."""
+    """Per-n counts of named sets plus equality verdicts.  ``rows`` holds one tuple
+    of int counts per n, in the order of the names in ``columns``; ``checks`` is a
+    tuple of EqualityChecks and ``notes`` one of strings."""
 
     __slots__ = ("n_lo", "n_hi", "columns", "rows", "checks", "notes")
-
-    def __init__(self, n_lo: int, n_hi: int, columns: tuple[str, ...],
-                 rows: tuple[tuple[int, ...], ...], checks: tuple[EqualityCheck, ...],
-                 notes: tuple[str, ...] = ()):
-        super().__init__(n_lo, n_hi, columns, rows, checks, notes)
+    _defaults = {"notes": ()}
 
     @property
     def passed(self) -> bool:
@@ -93,7 +90,10 @@ def count_set(pred, n: int) -> int:
 
 
 def count_columns(preds: Sequence, n_lo: int, n_hi: int) -> list[tuple[int, ...]]:
-    """Counts of several sets in one enumeration pass per n."""
+    """Counts of several sets in one enumeration pass per n, for n_lo <= n <= n_hi;
+    an empty range is an :class:`InputError`, as it is for every verifier."""
+    check_whole(n_lo, 1, "n_lo must be at least 1, got {!r}")
+    check_whole(n_hi, n_lo, f"n_hi must be at least n_lo={n_lo}, got {{!r}}")
     sweep = compile_columns(preds)
     return [sweep(iter_raw(n)) for n in range(n_lo, n_hi + 1)]
 
@@ -301,13 +301,11 @@ def verify_euler_chain(n_max: int) -> CountReport:
 
 
 class BijectionCertificate(Record):
-    """An explicit size-preserving pairing between two sets at one n."""
+    """An explicit size-preserving pairing between two sets at one n.  ``route`` is
+    a tuple of route letters, 0, 1 or "D"; ``pairs`` holds one tuple ``(source,
+    branches, image)`` per domain member: two Partitions and the Branches fired."""
 
     __slots__ = ("n", "domain_name", "codomain_name", "route", "pairs")
-
-    def __init__(self, n: int, domain_name: str, codomain_name: str, route: tuple,
-                 pairs: tuple[tuple[Partition, tuple[trimap.Branch, ...], Partition], ...]):
-        super().__init__(n, domain_name, codomain_name, route, pairs)
 
     def to_json(self) -> dict:
         return {

@@ -19,12 +19,9 @@ from .dsl import compile_columns
 
 
 class SeriesCoeffs(Record):
-    """Coefficients c0..cN of a truncated formal power series in q."""
+    """Coefficients c0..cN of a truncated formal power series in q, a tuple of ints."""
 
     __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        super().__init__(coeffs)
 
     @property
     def order(self) -> int:
@@ -37,14 +34,16 @@ class SeriesCoeffs(Record):
         return len(self.coeffs)
 
     def __add__(self, other: "SeriesCoeffs") -> "SeriesCoeffs":
-        if len(self.coeffs) != len(other.coeffs):
-            raise ContractError("series have different truncation orders")
-        return SeriesCoeffs(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return SeriesCoeffs(tuple(a + b for a, b in self._pairs(other)))
 
     def __sub__(self, other: "SeriesCoeffs") -> "SeriesCoeffs":
+        return SeriesCoeffs(tuple(a - b for a, b in self._pairs(other)))
+
+    def _pairs(self, other: "SeriesCoeffs"):
+        """The coefficients of both series side by side; their truncation orders must agree."""
         if len(self.coeffs) != len(other.coeffs):
             raise ContractError("series have different truncation orders")
-        return SeriesCoeffs(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return zip(self.coeffs, other.coeffs)
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": list(self.coeffs)}

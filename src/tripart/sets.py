@@ -28,7 +28,9 @@ class UnknownSetError(InputError, KeyError):
 
 
 class SetParameterError(UnknownSetError):
-    """A parameterized family name whose parameter is out of range, like ``GaussG(0)``."""
+    """A parameterized family name whose parameter is out of range, like ``GaussG(0)``:
+    every family name takes d >= ``_FAMILY_LOW``, though ``gauss_set(0)`` is valid on
+    purpose, the band ``gauss_step_image(d, d)`` builds on, which ``Delta0`` already names."""
 
     def __str__(self) -> str:
         # the reason itself, not the quoted key a KeyError prints
@@ -40,13 +42,10 @@ class EmptyWordError(InputError):
 
 
 class RegistryEntry(Record):
-    """A named set: defining text per dimension regime, or one uniform form."""
+    """A named set: defining text per dimension regime, or one uniform form; an absent form is None."""
 
     __slots__ = ("name", "dim2", "dim3", "uniform", "note")
-
-    def __init__(self, name: str, dim2: str | None = None, dim3: str | None = None,
-                 uniform: str | None = None, note: str = ""):
-        super().__init__(name, dim2, dim3, uniform, note)
+    _defaults = {"dim2": None, "dim3": None, "uniform": None, "note": ""}
 
     def combined_source(self) -> str:
         if self.uniform is not None:
@@ -126,6 +125,7 @@ _REGISTRY = {entry.name: entry for entry in _ENTRIES}
 # parameterized family -> the name of its builder below, looked up when
 # builtin runs, so a builder wrapped after import is the one called
 _FAMILIES = {"Delta0Off": "delta0_offset", "Delta1Off": "delta1_offset", "GaussG": "gauss_set"}
+_FAMILY_LOW = 1  # the least parameter a family name takes; see SetParameterError
 
 _PARAM_RE = re.compile(rf"^({'|'.join(_FAMILIES)})\((\d+)\)$")
 
@@ -160,7 +160,8 @@ def gauss_set(d: int) -> SetPredicate:
     """The band L1 - L2 - d*Llast > 0 > L1 - L2 - (d+1)*Llast.
 
     For d = 0 this degenerates to the below-diagonal cone, which is why
-    iterating the second branch d times lands there.
+    iterating the second branch d times lands there (``gauss_step_image(d, d)``
+    builds on it); the name ``GaussG(0)`` is refused, as ``Delta0`` names that set.
     """
     check_whole(d, 0, "d must be >= 0, got {!r}")
     return parse_predicate(
@@ -169,7 +170,9 @@ def gauss_set(d: int) -> SetPredicate:
 
 
 def builtin(name: str) -> SetPredicate:
-    """Look up a registered set, including parameterized names like GaussG(2)."""
+    """Look up a registered set, including parameterized names like GaussG(2); a family
+    name takes d >= ``_FAMILY_LOW``, so ``GaussG(0)`` is refused though ``gauss_set(0)``
+    is not (see :class:`SetParameterError`)."""
     cached = _predicate_cache.get(name)
     if cached is not None:
         return cached
@@ -180,8 +183,8 @@ def builtin(name: str) -> SetPredicate:
         if m is None:
             raise UnknownSetError(name)
         family, d = m.group(1), int(m.group(2))
-        if d < 1:
-            raise SetParameterError(f"set {name}: parameter must be >= 1")
+        if d < _FAMILY_LOW:
+            raise SetParameterError(f"set {name}: parameter must be >= {_FAMILY_LOW}")
         pred = globals()[_FAMILIES[family]](d)
     _predicate_cache[name] = pred
     return pred

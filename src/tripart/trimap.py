@@ -69,12 +69,9 @@ class MapStep(Record):
 
 
 class Orbit(Record):
-    """A forward orbit: steps chain until dimension one or the budget."""
+    """A forward orbit: a tuple of MapSteps, chained until dimension one or the budget."""
 
     __slots__ = ("start", "steps", "terminal")
-
-    def __init__(self, start: Partition, steps: tuple[MapStep, ...], terminal: Partition):
-        super().__init__(start, steps, terminal)
 
 
 def apply_t0(p: Partition) -> Partition:

@@ -77,6 +77,18 @@ def test_count_columns_mixed_columns_match_reference():
         assert count_set(plain, n) == expected[-1]
 
 
+@pytest.mark.parametrize("n_lo, n_hi, message", [
+    (5, 2, "n_hi must be at least n_lo=5, got 2"),
+    (0, -1, "n_lo must be at least 1, got 0"),
+    (True, 3, "n_lo must be at least 1, got True"),
+])
+def test_count_columns_rejects_an_empty_range(n_lo, n_hi, message):
+    # an empty range would count nothing and let every relation pass
+    with pytest.raises(InputError) as caught:
+        count_columns([builtin("D")], n_lo, n_hi)
+    assert str(caught.value) == message
+
+
 def test_equicount_passes():
     report = verify_equicount(builtin("Delta0"), builtin("M0"), 25, ("Delta0", "M0"))
     assert report.passed

@@ -122,3 +122,101 @@ def test_replace_builds_through_init():
     assert point._replace(coords=(5, 1)) == ConePoint((5, 1))
     with pytest.raises(ConePointError):
         point._replace(coords=(1, 2))
+
+
+def _package_records():
+    """Every Record subclass the package defines, at any depth."""
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("tripart.") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    return found
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[cls.__name__ for cls in CLASSES])
+def test_record_binds_fields_by_keyword(index):
+    obj, _ = CASES[index]
+    cls = type(obj)
+    values = [getattr(obj, name) for name in cls.__slots__]
+    assert cls(**dict(zip(cls.__slots__, values))) == obj
+    # any split between positions and keywords
+    for k in range(len(values) + 1):
+        assert cls(*values[:k], **dict(zip(cls.__slots__[k:], values[k:]))) == obj
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[cls.__name__ for cls in CLASSES])
+def test_record_defaults_come_last(index):
+    obj, _ = CASES[index]
+    cls = type(obj)
+    defaults = cls._defaults
+    required = len(cls.__slots__) - len(defaults)
+    assert list(defaults) == list(cls.__slots__[required:])
+    values = [getattr(obj, name) for name in cls.__slots__[:required]]
+    assert cls(*values) == obj._replace(**defaults)
+
+
+def test_defaults_examples():
+    assert Sym("dim") == Sym("dim", None) == Sym(kind="dim")
+    assert LinExpr(()) == LinExpr((), 0)
+    assert CountReport(1, 2, (), (), ()).notes == ()
+    check = EqualityCheck("A = B", True)
+    assert (check.first_failure, check.lhs_count, check.rhs_count) == (None, None, None)
+    assert (check.only_lhs, check.only_rhs) == ((), ())
+    assert RegistryEntry("X") == RegistryEntry("X", None, None, None, "")
+    assert RegistryEntry("X", uniform="dim >= 2").dim2 is None
+
+
+class Pair(Record):
+    __slots__ = ("first", "second")
+
+
+# a call each Record rejects: a field missing, an unknown keyword, a field
+# given by position and keyword, and one value too many
+_BAD_CALLS = {
+    "missing": lambda cls, values: cls(**dict(zip(cls.__slots__[1:], values[1:]))),
+    "unknown": lambda cls, values: cls(*values, no_such_field=1),
+    "repeated": lambda cls, values: cls(*values, **{cls.__slots__[0]: values[0]}),
+    "too_many": lambda cls, values: cls(*values, None),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_CALLS.values(), ids=list(_BAD_CALLS))
+@pytest.mark.parametrize("index", range(len(CASES)), ids=[cls.__name__ for cls in CLASSES])
+def test_record_rejects_a_bad_call_naming_the_class(index, call):
+    obj, _ = CASES[index]
+    cls = type(obj)
+    with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+        call(cls, [getattr(obj, name) for name in cls.__slots__])
+
+
+@pytest.mark.parametrize("call", _BAD_CALLS.values(), ids=list(_BAD_CALLS))
+def test_slots_only_subclass_rejects_a_bad_call(call):
+    with pytest.raises(TypeError, match=r"\bPair\(\)"):
+        call(Pair, [1, 2])
+
+
+def test_slots_only_subclass_binds_by_keyword():
+    assert Pair(1, 2) == Pair(second=2, first=1) == Pair(1, second=2)
+    assert repr(Pair(1, 2)) == "Pair(first=1, second=2)"
+
+
+def test_bad_call_messages():
+    with pytest.raises(TypeError, match=r"^Sym\(\) got multiple values for argument 'kind'$"):
+        Sym("L", kind="K")
+    with pytest.raises(TypeError, match=r"^Sym\(\) got an unexpected keyword argument 'name'$"):
+        Sym("L", name="K")
+    with pytest.raises(TypeError, match=r"^Sym\(\) takes 2 values but 3 were given$"):
+        Sym("L", 1, 2)
+    with pytest.raises(TypeError, match=r"^Sym\(\) missing a value for 'kind'$"):
+        Sym(index=1)
+    with pytest.raises(TypeError, match=r"^Pair\(\) missing a value for 'first', 'second'$"):
+        Pair()
+
+
+def test_only_validating_records_define_init():
+    records = _package_records()
+    assert records == set(CLASSES) | {Partition}
+    own_init = {cls.__name__ for cls in records if "__init__" in vars(cls)}
+    assert own_init == {"Partition", "MapStep", "ConePoint"}
