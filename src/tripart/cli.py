@@ -412,7 +412,9 @@ def _cmd_realmap(args):
     try:
         coords = tuple(Fraction(part) for part in args.point.split(","))
         point = realmap.ConePoint(coords)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise InputError(f"bad cone point {args.point!r}: a coordinate has denominator 0")
+    except ValueError as exc:
         raise InputError(f"bad cone point {args.point!r}: {exc}")
     steps, on_diagonal = realmap.orbit(point, args.steps)
     if args.format == "json":

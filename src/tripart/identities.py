@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _DELTA0, _DELTA1, _DELTA_D, InputError, Partition, Record, check_whole
+from .core import InputError, Partition, Record, check_whole, classify_parts
 from .dsl import SetPredicate, compile_columns, parse_predicate
 from .enumeration import filter_partitions, iter_raw
 from .sets import builtin, delta0_offset, delta1_offset, gauss_set
@@ -324,15 +324,6 @@ class BijectionCertificate(Record):
         }
 
 
-# What each route letter requires and does: the class its partition must
-# be in, the branch it records and the map branch it applies.  Each
-# branch refuses a partition outside its class, so certification
-# classifies once per step, inside the branch.
-_ROUTE = {
-    0: (_DELTA0, trimap.Branch.T0, trimap.apply_t0),
-    1: (_DELTA1, trimap.Branch.T1, trimap.apply_t1),
-    "D": (_DELTA_D, trimap.Branch.TD, trimap.apply_td),
-}
 _ROUTE_TEXT = {"0": 0, "1": 1, "d": "D", "D": "D"}
 
 
@@ -346,11 +337,11 @@ def parse_route(text: str) -> tuple:
 
 
 def _route_steps(route: tuple) -> list:
-    """Each letter's ``_ROUTE`` entry; by exact type, so True and 1.0 are no letters."""
+    """Each letter's ``trimap._LETTERS`` entry; by exact type, so True and 1.0 are no letters."""
     for letter in route:
-        if type(letter) not in (int, str) or letter not in _ROUTE:
+        if type(letter) not in (int, str) or letter not in trimap._LETTERS:
             raise InputError(f"route letters are 0, 1 or d; got {letter!r}")
-    return [_ROUTE[letter] for letter in route]
+    return [trimap._LETTERS[letter] for letter in route]
 
 
 def certify_bijection(
@@ -373,28 +364,25 @@ def certify_bijection(
     steps = _route_steps(route)
     sources = filter_partitions(n, domain, ceiling=ceiling)
     target = filter_partitions(n, codomain, ceiling=ceiling)
-    branches = tuple(branch for _, branch, _ in steps)
+    branches = tuple(step[1] for step in steps)
     pairs = []
-    # keyed on (parts, mults): tuples hash and compare in C, Partitions
-    # through Partition's Python __hash__ and __eq__
+    # each source walks on raw (parts, mults) tuples, which hash and compare
+    # in C; only its image becomes a validated Partition
     seen: dict[tuple, Partition] = {}
     for p in sources:
-        current = p
-        for expected, _, apply in steps:
-            try:
-                current = apply(current)
-            except trimap.WrongBranchError:
+        parts, mults = p.parts, p.mults
+        for wanted, _, _, move, _ in steps:
+            found = classify_parts(parts)
+            if found is not wanted:
                 raise BranchMismatchError(
-                    f"{current} (reached from {p}) is {current.classify()}, "
-                    f"but the route letter asks for {expected}"
-                ) from None
-        key = (current.parts, current.mults)
-        if key in seen:
-            raise NotInjectiveError(
-                f"{p} and {seen[key]} both map to {current}"
-            )
-        seen[key] = p
-        pairs.append((p, branches, current))
+                    f"{Partition(parts, mults)} (reached from {p}) is {found}, "
+                    f"but the route letter asks for {wanted}")
+            parts, mults = move(parts, mults)
+        image = Partition(parts, mults)
+        if (parts, mults) in seen:
+            raise NotInjectiveError(f"{p} and {seen[parts, mults]} both map to {image}")
+        seen[parts, mults] = p
+        pairs.append((p, branches, image))
     target_keys = {(q.parts, q.mults) for q in target}
     for _, _, img in pairs:
         if (img.parts, img.mults) not in target_keys:

@@ -74,30 +74,45 @@ class Orbit(Record):
     __slots__ = ("start", "steps", "terminal")
 
 
+def _diagonal(parts, mults):
+    if len(parts) == 2:
+        return (parts[1],), (2 * mults[0] + mults[1],)
+    return parts[1:], (mults[0] + mults[1],) + mults[2:-1] + (mults[0] + mults[-1],)
+
+
+# Each route letter once: the class it needs, the branch it fires, its WrongBranchError's
+# word, and its move and (for 0 and 1) inverse move on raw (parts, mults) tuples.
+_LETTERS = {
+    0: (_DELTA0, Branch.T0, "below",
+        lambda ls, ks: (_below(ls), (ks[0] + ks[1],) + ks[2:] + (ks[0],)),
+        lambda ls, ks: ((ls[0] + ls[-1],) + ls[:-1], (ks[-1], ks[0] - ks[-1]) + ks[1:-1])),
+    1: (_DELTA1, Branch.T1, "above",
+        lambda ls, ks: (_above(ls), ks[:-1] + (ks[0] + ks[-1],)),
+        lambda ls, ks: ((ls[0] + ls[-1],) + ls[1:], ks[:-1] + (ks[-1] - ks[0],))),
+    "D": (_DELTA_D, Branch.TD, "on", _diagonal, None),
+}
+
+
+def _apply(letter, p: Partition) -> Partition:
+    cls, _, side, move, _ = _LETTERS[letter]
+    if p.classify() is not cls:
+        raise WrongBranchError(f"{p} is not {side} the diagonal")
+    return Partition(*move(p.parts, p.mults))
+
+
 def apply_t0(p: Partition) -> Partition:
     """First branch; requires l1 < l2 + lm (2*l2 when dim 2)."""
-    if p.classify() is not _DELTA0:
-        raise WrongBranchError(f"{p} is not below the diagonal")
-    k = p.mults
-    return Partition(_below(p.parts), (k[0] + k[1],) + k[2:] + (k[0],))
+    return _apply(0, p)
 
 
 def apply_t1(p: Partition) -> Partition:
     """Second branch; requires l1 > l2 + lm (2*l2 when dim 2)."""
-    if p.classify() is not _DELTA1:
-        raise WrongBranchError(f"{p} is not above the diagonal")
-    k = p.mults
-    return Partition(_above(p.parts), k[:-1] + (k[0] + k[-1],))
+    return _apply(1, p)
 
 
 def apply_td(p: Partition) -> Partition:
     """Diagonal branch; requires l1 = l2 + lm.  Drops dimension by one."""
-    if p.classify() is not _DELTA_D:
-        raise WrongBranchError(f"{p} is not on the diagonal")
-    parts, k = p.parts, p.mults
-    if len(parts) == 2:
-        return Partition((parts[1],), (2 * k[0] + k[1],))
-    return Partition(parts[1:], (k[0] + k[1],) + k[2:-1] + (k[0] + k[-1],))
+    return _apply("D", p)
 
 
 def apply_t(p: Partition) -> MapStep:
@@ -125,9 +140,7 @@ def apply_t0_inverse(p: Partition) -> Partition:
     """
     if not (p.dimension >= 2 and p.mults[0] > p.mults[-1]):
         raise NotInM0Error(f"{p} does not satisfy k1 > km")
-    parts = (p.parts[0] + p.parts[-1],) + p.parts[:-1]
-    mults = (p.mults[-1], p.mults[0] - p.mults[-1]) + p.mults[1:-1]
-    return Partition(parts, mults)
+    return Partition(*_LETTERS[0][4](p.parts, p.mults))
 
 
 def apply_t1_inverse(p: Partition) -> Partition:
@@ -138,9 +151,7 @@ def apply_t1_inverse(p: Partition) -> Partition:
     """
     if not (p.dimension >= 2 and p.mults[0] < p.mults[-1]):
         raise NotInM1Error(f"{p} does not satisfy k1 < km")
-    parts = (p.parts[0] + p.parts[-1],) + p.parts[1:]
-    mults = p.mults[:-1] + (p.mults[-1] - p.mults[0],)
-    return Partition(parts, mults)
+    return Partition(*_LETTERS[1][4](p.parts, p.mults))
 
 
 def orbit(p: Partition, max_steps: int) -> Orbit:

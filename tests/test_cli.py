@@ -351,6 +351,14 @@ def test_realmap_orbit():
     assert result.returncode == 2
 
 
+def test_realmap_zero_denominator_is_named(capsys):
+    for point in ("1/0,1", "3,0/0"):
+        assert cli.main(["realmap", "orbit", point]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad cone point '{point}': a coordinate has denominator 0\n"
+
+
 def test_out_flag(tmp_path):
     target = tmp_path / "out.txt"
     result = run_cli("enumerate", "4", "--out", str(target))

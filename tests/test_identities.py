@@ -296,6 +296,40 @@ def test_certify_branch_mismatch_mid_route():
     )
 
 
+def test_certify_branch_mismatch_in_dimension_one():
+    with pytest.raises(BranchMismatchError) as info:
+        certify_bijection(parse_set_expression("dim = 1"), builtin("M0"), (0,), 7)
+    assert str(info.value) == (
+        "(7)x[1] (reached from (7)x[1]) is Dim1, but the route letter asks for Delta0"
+    )
+
+
+def test_certify_branch_mismatch_at_the_third_letter():
+    # (5,3)x[1,1] -> (3,2)x[2,1] -> (2,1)x[3,2], which lies on the diagonal
+    with pytest.raises(BranchMismatchError) as info:
+        certify_bijection(builtin("Delta00"), builtin("T0T0Delta00"), (0, 0, 0), 8)
+    assert str(info.value) == (
+        "(2,1)x[3,2] (reached from (5,3)x[1,1]) is DeltaD, "
+        "but the route letter asks for Delta0"
+    )
+
+
+def test_certify_builds_one_partition_per_pair(monkeypatch):
+    # the route is walked on raw tuples; only each image is validated
+    domain, codomain = builtin("Delta00"), builtin("T0T0Delta00")
+    builds = []
+    validate = Partition.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Partition, "__post_init__", counted)
+    cert = certify_bijection(domain, codomain, (0, 0), 20)
+    assert len(cert.pairs) == 5
+    assert builds == [image for _, _, image in cert.pairs]
+
+
 def test_certify_not_injective():
     # two diagonal partitions of 9 share parts (3,2,1) and an image
     from tripart.dsl import TRUE

@@ -16,6 +16,7 @@ from tripart import (
     orbit,
     td_part_injectivity_check,
 )
+from tripart import trimap
 from tripart.enumeration import iter_partitions
 from tripart.trimap import (
     DimensionOneError,
@@ -25,6 +26,7 @@ from tripart.trimap import (
     image,
 )
 
+import oracles
 from strategies import partitions
 
 P = Partition.from_text
@@ -172,6 +174,41 @@ def test_bijection_round_trips_exhaustive():
             assert apply_t0(apply_t0_inverse(q)) == q
         for q in m1:
             assert apply_t1(apply_t1_inverse(q)) == q
+
+
+def _split_largest(parts, mults):
+    """The diagonal move written out: each copy of l1 = l2 + lm splits into l2 and lm."""
+    expanded = [v for v, k in zip(parts, mults) for _ in range(k)]
+    largest = expanded.count(parts[0])
+    expanded = expanded[largest:] + [parts[1], parts[-1]] * largest
+    return oracles.to_part_mult(sorted(expanded, reverse=True))
+
+
+def test_letter_moves_match_the_oracle():
+    # every raw move and raw inverse of the letter table, on every
+    # partition of n <= 24 from the oracle enumerator
+    letters = trimap._LETTERS
+    diagonal_dims = set()
+    for n in range(1, 25):
+        for parts, mults in oracles.part_mult_partitions(n):
+            tag = oracles.classify_tag(parts)
+            for letter, wanted in ((0, "d0"), (1, "d1")):
+                if tag == wanted:
+                    _, _, _, move, inverse = letters[letter]
+                    stepped = move(parts, mults)
+                    assert stepped == oracles.slow_step(parts, mults, letter), (parts, mults)
+                    assert inverse(*stepped) == (parts, mults)
+            if tag == "dd":
+                diagonal_dims.add(min(len(parts), 3))
+                assert letters["D"][3](parts, mults) == _split_largest(parts, mults)
+            if len(parts) >= 2 and mults[0] != mults[-1]:
+                # k1 > km is the image of letter 0, k1 < km that of letter 1
+                letter = 0 if mults[0] > mults[-1] else 1
+                _, _, _, move, inverse = letters[letter]
+                source = inverse(parts, mults)
+                assert oracles.classify_tag(source[0]) == ("d0", "d1")[letter]
+                assert move(*source) == (parts, mults)
+    assert diagonal_dims == {2, 3}
 
 
 def test_boundary_concatenation_coherence():
