@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from itertools import groupby
+from operator import mul
 
 
 class InputError(ValueError):
@@ -312,7 +313,7 @@ class Partition(Record):
     @property
     def size(self) -> int:
         """Dot product of parts and multiplicities."""
-        return sum(v * k for v, k in zip(self.parts, self.mults))
+        return sum(map(mul, self.parts, self.mults))
 
     @property
     def dimension(self) -> int:

@@ -381,14 +381,17 @@ class SetPredicate:
 
     Calling the predicate on a Partition uses the compiled closure;
     :meth:`member` uses the reference evaluator.  Predicates combine
-    with ``&``, ``|`` and ``~``.
+    with ``&``, ``|`` and ``~``.  The root is never changed, so the
+    compiled closure and the hash, which hashes the whole tree, are each
+    computed once and kept.
     """
 
-    __slots__ = ("root", "_fn")
+    __slots__ = ("root", "_fn", "_hash")
 
     def __init__(self, root: Node):
         self.root = root
         self._fn = None
+        self._hash = None
 
     @property
     def fn(self) -> Callable[[tuple, tuple, int], bool]:
@@ -420,7 +423,9 @@ class SetPredicate:
         return isinstance(other, SetPredicate) and self.root == other.root
 
     def __hash__(self) -> int:
-        return hash(self.root)
+        if self._hash is None:
+            self._hash = hash(self.root)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"SetPredicate({self.source()!r})"

@@ -13,6 +13,7 @@ in only one of the two sets, so a falsified claim is diagnosable.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .core import InputError, Partition, Record, check_whole, classify_parts
@@ -126,6 +127,26 @@ def _builtins(*names: str) -> list:
 _N_MAX = "n_max must be at least 1, got {!r}"
 
 
+def _either(a, b) -> tuple:
+    """``(union, a, b)``: a test for the members of either set, and the two sets.
+
+    One :func:`filter_partitions` call on the union lists both sets at
+    once; their members are then told apart on that short listing.  Two
+    predicates are joined by ``|`` and compiled once per pair; a plain
+    callable, which may be unhashable, is joined by ``or`` and not kept.
+    """
+    if isinstance(a, SetPredicate) and isinstance(b, SetPredicate):
+        return _set_union(a, b)
+    return (lambda p: a(p) or b(p)), a, b
+
+
+@lru_cache(maxsize=128)
+def _set_union(a: SetPredicate, b: SetPredicate) -> tuple:
+    # the first-seen sets come back too, so sets that a caller rebuilds
+    # on every call, equal to these, are compiled once like their union
+    return a | b, a, b
+
+
 def _check(columns, relations, n_max: int, arithmetic=()) -> CountReport:
     """Count the set columns, then test every relation for 1 <= n <= n_max.
 
@@ -154,12 +175,11 @@ def _check(columns, relations, n_max: int, arithmetic=()) -> CountReport:
             if row[lhs] != total:
                 only_lhs = only_rhs = ()
                 if len(rhs) == 1 and max(lhs, rhs[0]) < len(preds):
+                    union, left, right = _either(preds[lhs], preds[rhs[0]])
                     # n may lie above the desk ceiling when the caller raised it
-                    left = filter_partitions(n, preds[lhs], ceiling=n).items
-                    right = filter_partitions(n, preds[rhs[0]], ceiling=n).items
-                    left_set, right_set = set(left), set(right)
-                    only_lhs = tuple(p for p in left if p not in right_set)
-                    only_rhs = tuple(p for p in right if p not in left_set)
+                    members = filter_partitions(n, union, ceiling=n)
+                    only_lhs = tuple(p for p in members if not right(p))
+                    only_rhs = tuple(p for p in members if not left(p))
                 checks.append(EqualityCheck(
                     label, passed=False, first_failure=n, lhs_count=row[lhs],
                     rhs_count=total, only_lhs=only_lhs, only_rhs=only_rhs,
@@ -357,13 +377,17 @@ def certify_bijection(
 
     Fails loudly: a route letter disagreeing with a classification, a
     collision, or an image set differing from the codomain each raise,
-    naming the offending partition.  ``ceiling`` is passed to
-    :func:`~tripart.enumeration.filter_partitions` for both sets.
+    naming the offending partition.  Both sets are listed by one walk
+    over the partitions of n, a :func:`~tripart.enumeration.filter_partitions`
+    call on their union, to which ``ceiling`` is passed; the sources and
+    the codomain members are read off that listing in canonical order.
     """
     route = tuple(route)
     steps = _route_steps(route)
-    sources = filter_partitions(n, domain, ceiling=ceiling)
-    target = filter_partitions(n, codomain, ceiling=ceiling)
+    union, in_domain, in_codomain = _either(domain, codomain)
+    members = filter_partitions(n, union, ceiling=ceiling)
+    sources = [p for p in members if in_domain(p)]
+    target = [q for q in members if in_codomain(q)]
     branches = tuple(step[1] for step in steps)
     pairs = []
     # each source walks on raw (parts, mults) tuples, which hash and compare

@@ -89,6 +89,11 @@ def test_size_examples():
     assert p.size == sum(p.expand())
 
 
+@given(partitions(max_part=10**6, max_len=40))
+def test_size_is_the_sum_of_the_expanded_parts(p):
+    assert p.size == sum(p.expand())
+
+
 def test_dimension_examples():
     assert Partition((5, 4, 2), (1, 1, 1)).dimension == 3
     assert Partition((7,), (1,)).dimension == 1

@@ -240,6 +240,14 @@ def test_format_parse_round_trip():
         assert repr(once) == f"SetPredicate({once.source()!r})"
 
 
+@given(predicate_trees())
+def test_hash_is_the_tree_hash_kept_after_the_first_call(tree):
+    pred = SetPredicate(tree)
+    assert hash(pred) == hash(tree)
+    assert pred._hash == hash(tree) and hash(pred) == hash(tree)
+    assert hash(pred | TRUE) == hash(SetPredicate(pred.root) | TRUE)
+
+
 def test_registry_sources_round_trip():
     from tripart import sets
 

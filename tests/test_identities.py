@@ -596,3 +596,82 @@ def test_equicount_with_repeated_names_compares_both_sets():
     assert (check.label, check.passed, check.first_failure) == ("X = X", False, 1)
     assert (check.lhs_count, check.rhs_count) == (1, 0)
     assert check.only_lhs == (P("(1)x[1]"),) and check.only_rhs == ()
+
+
+# --- one walk per certificate ----------------------------------------------
+# certify_bijection and the counterexample listing enumerate n once, on
+# the union of the two sets, and tell the sides apart on that listing.
+
+import tripart.dsl as dsl_module
+
+
+def _counted_filter(monkeypatch):
+    calls = []
+    real = identities_module.filter_partitions
+
+    def counted(n, pred, **kwargs):
+        calls.append(n)
+        return real(n, pred, **kwargs)
+
+    monkeypatch.setattr(identities_module, "filter_partitions", counted)
+    return calls
+
+
+def test_certify_enumerates_once(monkeypatch):
+    calls = _counted_filter(monkeypatch)
+    cert = certify_bijection(builtin("Delta0"), builtin("M0"), (0,), 20)
+    assert calls == [20]
+    assert cert.pairs
+
+
+def test_certify_compiles_one_union_for_a_repeated_pair(monkeypatch):
+    # equal sets rebuilt on every call: the union is compiled once for the
+    # pair, not once per call, and no side is compiled twice
+    compiled = []
+    compile_node = dsl_module.compile_node
+    monkeypatch.setattr(dsl_module, "compile_node",
+                        lambda root: compiled.append(root) or compile_node(root))
+    for n in range(1, 11):
+        certify_bijection(gauss_set(2), gauss_final_image(2), (1, 1, 0), n)
+    sides = {gauss_set(2).root, gauss_final_image(2).root}
+    assert len(compiled) == len(set(compiled))
+    assert len([root for root in compiled if root not in sides]) <= 1
+
+
+class _UnhashableDelta0:
+    """A plain callable that compares equal to its kind but cannot be hashed."""
+
+    def __call__(self, p):
+        return builtin("Delta0")(p)
+
+    def __eq__(self, other):
+        return isinstance(other, _UnhashableDelta0)
+
+
+def test_certify_with_an_unhashable_callable_domain():
+    domain = _UnhashableDelta0()
+    with pytest.raises(TypeError):
+        hash(domain)
+    for n in range(1, 13):
+        expected = certify_bijection(builtin("Delta0"), builtin("M0"), (0,), n).pairs
+        assert certify_bijection(domain, builtin("M0"), (0,), n).pairs == expected, n
+
+
+def test_certify_with_a_plain_callable_codomain():
+    codomain = builtin("T0T0Delta00")
+    plain = lambda p: codomain(p)  # noqa: E731
+    for n in range(1, 21):
+        expected = certify_bijection(builtin("Delta00"), codomain, (0, 0), n).pairs
+        assert certify_bijection(builtin("Delta00"), plain, (0, 0), n).pairs == expected, n
+
+
+def test_equicount_counterexamples_come_from_one_listing(monkeypatch):
+    calls = _counted_filter(monkeypatch)
+    a, b = builtin("Delta0"), builtin("E0")
+    check = verify_equicount(a, b, 12).checks[0]
+    assert calls == [check.first_failure] == [7]
+    members = [Partition._wrap(parts, mults) for parts, mults in oracles.part_mult_partitions(7)]
+    assert check.only_lhs == tuple(p for p in members if a.member(p) and not b.member(p))
+    assert check.only_rhs == tuple(p for p in members if b.member(p) and not a.member(p))
+    assert check.only_lhs == (P("(4,3)x[1,1]"), P("(3,2)x[1,2]"))
+    assert check.only_rhs == (P("(3,1)x[2,1]"),)
